@@ -194,7 +194,8 @@ class Cache:
                 state.prefetched[index] = 0
                 stats.prefetch_useful += 1
             if self.track_reuse:
-                # _record_reuse, inlined (this runs on every tracked hit).
+                # Replacement-stack position of the hit (0 = protected
+                # end), recorded inline: this runs on every tracked hit.
                 position = self._policy_hit_position(set_index, way)
                 self.reuse_histogram[position] += 1
                 histogram = self.reuse_by_owner.get(owner)
@@ -208,21 +209,6 @@ class Cache:
         if self._policy_miss_hook is not None:
             self._policy_miss_hook(set_index)
         return False
-
-    def _record_reuse(self, set_index: int, way: int, owner: int) -> None:
-        """Record the replacement-stack position of a hit (0 = protected end).
-
-        The position comes straight from the policy
-        (:meth:`~repro.cache.replacement.base.ReplacementPolicy.hit_position`)
-        instead of materialising the whole eviction order and scanning it.
-        """
-        position = self.policy.hit_position(set_index, way)
-        self.reuse_histogram[position] += 1
-        histogram = self.reuse_by_owner.get(owner)
-        if histogram is None:
-            histogram = [0] * self.assoc
-            self.reuse_by_owner[owner] = histogram
-        histogram[position] += 1
 
     def owner_reuse_histogram(self, owner: int) -> List[int]:
         """One owner's hit-position histogram (zeros when it never hit)."""

@@ -47,8 +47,15 @@ ID_SCHEME = "pinte-job-v3"
 
 
 def job_to_dict(job: Job) -> dict:
-    """Plain-dict form of a :class:`Job` (manifest / store serialisation)."""
-    return dataclasses.asdict(job)
+    """Plain-dict form of a :class:`Job` (manifest / store serialisation).
+
+    JSON-shaped: ``co_runners`` is a list, as a JSON round trip returns it,
+    so a record the store keeps in memory equals the one it reads back.
+    """
+    payload = dataclasses.asdict(job)
+    if job.co_runners is not None:
+        payload["co_runners"] = list(job.co_runners)
+    return payload
 
 
 def job_from_dict(payload: dict) -> Job:

@@ -43,7 +43,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig
 from repro.campaign.ids import ID_SCHEME, job_from_dict, job_to_dict
@@ -108,13 +108,67 @@ class StoreContents:
 
 
 class ResultStore:
-    """Append-only JSONL store for one campaign's job outcomes."""
+    """Append-only JSONL store for one campaign's job outcomes.
+
+    An instance keeps an index of the records it has parsed or written,
+    so it reads each line of the file at most once:
+
+    * :meth:`load` parses only the bytes past the last newline-terminated
+      line it has indexed.
+    * An append adds its own record to the index after the fsync, but
+      only when the file held exactly the indexed lines before the write
+      and grew by exactly the bytes written.
+
+    The index stays valid while the file keeps its device and inode, is
+    at least as long as the indexed bytes, and the last indexed line
+    still ends where it did. Anything else drops the index, and the next
+    :meth:`load` reads the whole file again: an append by another shard
+    that this instance has not read when it appends, a repaired tail,
+    truncation, or a replaced file. A full load is the same incremental
+    read, from byte 0 with an empty index.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        #: Torn trailing lines truncated away before an append (see
-        #: :meth:`_repair_tail`); surfaced by ``repro campaign status``.
+        #: Torn trailing lines newline-terminated or truncated away before
+        #: an append (see :meth:`_repair_tail`).
         self.repaired_tails = 0
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the in-memory index; the next :meth:`load` reads from 0."""
+        #: Records of the ``_lines`` complete lines before byte ``_offset``.
+        self._index = StoreContents()
+        self._offset = 0
+        self._lines = 0
+        #: The last indexed line, newline included, and ``(st_dev,
+        #: st_ino)`` of the file it was read from or written to.
+        self._last = b""
+        self._inode: Optional[Tuple[int, int]] = None
+
+    def _holds_index(self, handle, stat: os.stat_result) -> bool:
+        """True when the open file still begins with the indexed lines.
+
+        Checking the last indexed line, not just the inode and length,
+        catches a file rewritten in place or replaced by one that reuses
+        the old inode number.
+        """
+        if self._offset == 0:
+            return True
+        if (self._inode != (stat.st_dev, stat.st_ino)
+                or stat.st_size < self._offset):
+            return False
+        handle.seek(self._offset - len(self._last))
+        return handle.read(len(self._last)) == self._last
+
+    def _index_line(self, record: dict, line: bytes,
+                    stat: os.stat_result) -> None:
+        """Add one newline-terminated ``line`` and its parsed ``record``."""
+        self._apply(self._index, record, self._lines + 1)
+        self._offset += len(line)
+        self._lines += 1
+        self._last = line
+        self._inode = (stat.st_dev, stat.st_ino)
 
     # -- writing -----------------------------------------------------------
     def exists(self) -> bool:
@@ -125,8 +179,11 @@ class ResultStore:
             return False
 
     def _repair_tail(self) -> None:
-        """Drop a partial trailing record left by a killed writer.
+        """Terminate or drop a trailing line left by a killed writer.
 
+        A tail that parses as one JSON object is a whole record that lost
+        only its newline — :meth:`load` already counts it — so the newline
+        is added. Anything else is a partial record and is truncated away.
         Without this, the next append would glue onto the unterminated
         line and corrupt it *mid-file* — unrecoverable instead of merely
         incomplete. The check is O(1) (one byte) when the store is clean.
@@ -140,20 +197,38 @@ class ResultStore:
                 if handle.read(1) == b"\n":
                     return
                 handle.seek(0)
-                cut = handle.read().rfind(b"\n") + 1
-                handle.truncate(cut)
+                content = handle.read()
+                cut = content.rfind(b"\n") + 1
+                try:
+                    whole = isinstance(json.loads(content[cut:]), dict)
+                except ValueError:
+                    whole = False
+                if whole:
+                    handle.write(b"\n")
+                else:
+                    handle.truncate(cut)
                 self.repaired_tails += 1
         except FileNotFoundError:
             pass
 
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        data = (json.dumps(record, sort_keys=True, separators=(",", ":"))
+                + "\n").encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._repair_tail()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        # "a+b": writes always append; reads check the indexed tail.
+        with open(self.path, "a+b") as handle:
+            before = os.fstat(handle.fileno())
+            indexed = (before.st_size == self._offset
+                       and self._holds_index(handle, before))
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
+            after = os.fstat(handle.fileno())
+        if indexed and after.st_size == before.st_size + len(data):
+            self._index_line(record, data, after)
+        else:
+            self._forget()
 
     def ensure_header(self, meta: Optional[dict] = None) -> None:
         """Write the header record if the store is new/empty.
@@ -185,46 +260,78 @@ class ResultStore:
             "kind": "failure",
             "job_id": job_id,
             "job": job_to_dict(job),
-            "failure": failure,
+            "failure": dict(failure),
         })
 
     # -- reading -----------------------------------------------------------
     def load(self) -> StoreContents:
-        """Read the store back, tolerating a truncated final line."""
-        contents = StoreContents()
+        """Read the store back, tolerating a truncated final line.
+
+        Only the bytes this instance has not parsed yet are read. The
+        returned dicts are the caller's own; the records in them are
+        shared with the instance and must not be modified.
+        """
         try:
-            lines = self.path.read_text(encoding="utf-8").split("\n")
+            handle = open(self.path, "rb")
         except FileNotFoundError:
-            return contents
-        if lines and lines[-1] == "":
+            self._forget()
+            return StoreContents()
+        with handle:
+            stat = os.fstat(handle.fileno())
+            if not self._holds_index(handle, stat):
+                self._forget()
+            handle.seek(self._offset)
+            data = handle.read()
+        lines = data.split(b"\n")
+        torn = lines[-1] != b""
+        if not torn:
             lines.pop()
-        for number, line in enumerate(lines):
+        truncated = 0
+        tail_record = None
+        for position, line in enumerate(lines):
+            last = position == len(lines) - 1
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                if number == len(lines) - 1:
+                if last:
                     # A driver killed mid-append leaves a partial last line;
                     # that job simply reruns on resume.
-                    contents.truncated_lines += 1
-                    continue
+                    truncated = 1
+                    break
                 raise ValueError(
-                    f"{self.path}:{number + 1}: corrupt store record")
-            kind = record.get("kind")
-            if kind == "header":
-                if record.get("format") != STORE_FORMAT:
-                    raise ValueError(
-                        f"{self.path}: not a {STORE_FORMAT} store "
-                        f"(format={record.get('format')!r})")
-                contents.header = record
-            elif kind == "result":
-                contents.results[record["job_id"]] = record
-                contents.failures.pop(record["job_id"], None)
-            elif kind == "failure":
-                contents.failures[record["job_id"]] = record
-            else:
-                raise ValueError(
-                    f"{self.path}:{number + 1}: unknown record kind {kind!r}")
+                    f"{self.path}:{self._lines + 1}: corrupt store record")
+            if torn and last:
+                # Whole but unterminated: returned, not indexed, since the
+                # index covers newline-terminated lines only.
+                tail_record = record
+                break
+            self._index_line(record, line + b"\n", stat)
+        contents = StoreContents(results=dict(self._index.results),
+                                 failures=dict(self._index.failures),
+                                 header=self._index.header,
+                                 truncated_lines=truncated)
+        if tail_record is not None:
+            self._apply(contents, tail_record, self._lines + 1)
         return contents
+
+    def _apply(self, contents: StoreContents, record: dict,
+               number: int) -> None:
+        """Fold one parsed record (line ``number``) into ``contents``."""
+        kind = record.get("kind")
+        if kind == "header":
+            if record.get("format") != STORE_FORMAT:
+                raise ValueError(
+                    f"{self.path}: not a {STORE_FORMAT} store "
+                    f"(format={record.get('format')!r})")
+            contents.header = record
+        elif kind == "result":
+            contents.results[record["job_id"]] = record
+            contents.failures.pop(record["job_id"], None)
+        elif kind == "failure":
+            contents.failures[record["job_id"]] = record
+        else:
+            raise ValueError(
+                f"{self.path}:{number}: unknown record kind {kind!r}")
 
     def completed_ids(self) -> Dict[str, dict]:
         """Ids with a stored *successful* result (what ``--resume`` skips)."""

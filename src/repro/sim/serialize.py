@@ -19,11 +19,23 @@ from repro.sim.results import Sample, SimulationResult
 FORMAT = "pinte-results-v1"
 
 
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SimulationResult))
+_SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(Sample))
+
+
 def result_to_dict(result: SimulationResult) -> dict:
-    """Plain-dict form of one result (samples and co-results included)."""
-    payload = dataclasses.asdict(result)
-    payload["samples"] = [dataclasses.asdict(sample)
+    """Plain-dict form of one result (samples and co-results included).
+
+    Equal to ``dataclasses.asdict(result)``, key order included, but a
+    one-pass copy of the fields instead of ``asdict``'s slower recursive
+    deep copy.
+    """
+    payload = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    payload["reuse_histogram"] = list(result.reuse_histogram)
+    payload["samples"] = [{name: getattr(sample, name)
+                           for name in _SAMPLE_FIELDS}
                           for sample in result.samples]
+    payload["extra"] = dict(result.extra)
     payload["co_results"] = [result_to_dict(co) for co in result.co_results]
     return payload
 

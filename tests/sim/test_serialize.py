@@ -1,5 +1,6 @@
 """Tests for result serialisation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -40,6 +41,36 @@ class TestRoundTrip:
         loaded = load_results(path)[0]
         assert loaded.llc_mpki == lbm_pinte.llc_mpki
         assert loaded.prefetch_miss_rate == lbm_pinte.prefetch_miss_rate
+
+
+class TestMatchesAsdict:
+    """``result_to_dict`` is a one-pass copy; ``dataclasses.asdict`` is the
+    reference it must reproduce exactly."""
+
+    @pytest.fixture()
+    def nested(self, lbm_isolation, lbm_pinte):
+        co = dataclasses.replace(lbm_isolation,
+                                 co_results=[lbm_isolation],
+                                 extra={"secondary_ipc": 0.5})
+        return dataclasses.replace(lbm_pinte, co_results=[co, lbm_pinte])
+
+    def test_equal_dicts_and_json(self, nested):
+        assert nested.samples and nested.extra and nested.co_results
+        payload = result_to_dict(nested)
+        reference = dataclasses.asdict(nested)
+        assert payload == reference
+        assert (json.dumps(payload, sort_keys=True)
+                == json.dumps(reference, sort_keys=True))
+        # Same key order too: save_results writes unsorted JSON.
+        assert json.dumps(payload) == json.dumps(reference)
+
+    def test_copy_is_independent(self, nested):
+        payload = result_to_dict(nested)
+        payload["reuse_histogram"].append(1)
+        payload["extra"]["added"] = 1.0
+        payload["samples"][0]["ipc"] = -1.0
+        assert dataclasses.asdict(nested) == result_to_dict(nested)
+        assert "added" not in nested.extra
 
 
 class TestValidation:
