@@ -1,0 +1,169 @@
+"""Pinned Python-call budget of the timing hosts, per simulated instruction.
+
+Runs two small fixed calls under the stdlib ``cProfile``:
+
+* ``pair``: ``simulate_pair(470.lbm, 450.soplex)``, the 2nd-Trace host
+  (two cores, the multicore scheduler, natural thefts);
+* ``pinte``: ``simulate(470.lbm, pinte=PinteConfig(0.1))``, the PInTE host;
+
+and counts the calls of Python functions defined in the ``repro`` package,
+folded into the layers of ``perfbench/layers.py``. A ``repro`` module in no
+layer (``util/``, ``prefetch/``, ...) counts as ``other``. Comprehension
+frames (``<listcomp>``, ``<dictcomp>``, ``<setcomp>``) are left out: Python
+3.12 inlines them, so the counts agree on 3.10-3.12. Built-ins are not
+counted. The simulation is deterministic, so the counts are exact;
+``tests/sim/test_frame_budget.py`` pins them against
+``tests/golden/frame_budget.json``.
+
+Usage::
+
+    PYTHONPATH=src python scripts/frame_budget.py                # compare
+    PYTHONPATH=src python scripts/frame_budget.py --update       # re-pin
+    PYTHONPATH=src python scripts/frame_budget.py -o counts.json # save
+
+Without ``--update`` the exit status is 1 when a count differs from the
+pinned file. Re-pin only for an intended change to the per-access path,
+and say in the change's description which counts moved and why.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import importlib.util
+import json
+import os
+import pstats
+import sys
+from pathlib import Path
+from typing import Dict
+
+import repro
+from repro.config import scaled_config
+from repro.core import PinteConfig
+from repro.sim.multicore import simulate_pair
+from repro.sim.simulator import simulate
+from repro.trace import build_trace, get_workload
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PINNED = REPO_ROOT / "tests" / "golden" / "frame_budget.json"
+
+
+def _load_layers():
+    """``perfbench/layers.py``, the one module-to-layer map."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", REPO_ROOT / "perfbench" / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+layer_of = _load_layers().layer_of
+
+#: Frames Python 3.12 no longer creates (PEP 709), so never counted.
+INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+#: Simulated instructions per call: small enough for the tier-1 suite,
+#: large enough that every layer of the per-access path runs.
+PAIR_INSTRUCTIONS = 3_000
+PINTE_INSTRUCTIONS = 5_000
+SEED = 1
+
+_PACKAGE = str(Path(repro.__file__).resolve().parent) + os.sep
+
+
+def _pair(config):
+    primary = build_trace(get_workload("470.lbm"), PAIR_INSTRUCTIONS, SEED,
+                          config.llc.size)
+    secondary = build_trace(get_workload("450.soplex"), PAIR_INSTRUCTIONS,
+                            SEED + 1, config.llc.size)
+    return lambda: simulate_pair(primary, secondary, config,
+                                 sim_instructions=PAIR_INSTRUCTIONS,
+                                 seed=SEED, return_secondary=True)
+
+
+def _pinte(config):
+    trace = build_trace(get_workload("470.lbm"), PINTE_INSTRUCTIONS, SEED,
+                        config.llc.size)
+    return lambda: simulate(trace, config, pinte=PinteConfig(0.1, seed=SEED),
+                            sim_instructions=PINTE_INSTRUCTIONS, seed=SEED)
+
+
+WORKLOADS = {"pair": _pair, "pinte": _pinte}
+
+
+def measure(name: str) -> Dict[str, object]:
+    """One workload's instructions (all cores) and ``repro`` calls per
+    layer, from a fresh profiled call."""
+    call = WORKLOADS[name](scaled_config())
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result = call()
+    profiler.disable()
+    calls: Dict[str, int] = {}
+    for (filename, _line, function), (_cc, ncalls, *_rest) in pstats.Stats(
+            profiler).stats.items():
+        if (function in INLINED
+                or not os.path.realpath(filename).startswith(_PACKAGE)):
+            continue
+        layer = layer_of(filename)
+        calls[layer] = calls.get(layer, 0) + ncalls
+    instructions = result.instructions + int(
+        result.extra.get("secondary_instructions", 0))
+    return {"instructions": instructions, "calls": dict(sorted(calls.items()))}
+
+
+def measure_all() -> Dict[str, Dict[str, object]]:
+    """Every workload's counts, keyed by workload name."""
+    return {name: measure(name) for name in WORKLOADS}
+
+
+def per_instruction(counts: Dict[str, object]) -> Dict[str, float]:
+    """Calls per simulated instruction, per layer and in ``total``."""
+    instructions = counts["instructions"]
+    figures = {layer: calls / instructions
+               for layer, calls in counts["calls"].items()}
+    figures["total"] = sum(counts["calls"].values()) / instructions
+    return figures
+
+
+def _report(measured, pinned) -> bool:
+    """Print measured vs pinned calls per instruction; True when equal."""
+    same = True
+    for name, counts in measured.items():
+        reference = pinned.get(name)
+        print(f"{name}: {counts['instructions']} instructions")
+        now = per_instruction(counts)
+        before = per_instruction(reference) if reference else {}
+        for layer in sorted(set(now) | set(before)):
+            mark = "" if now.get(layer) == before.get(layer) else "  (changed)"
+            print(f"  {layer:12s} {now.get(layer, 0.0):8.3f} per instr"
+                  f"  pinned {before.get(layer, 0.0):8.3f}{mark}")
+        same = same and counts == reference
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--update", action="store_true",
+                        help=f"rewrite {PINNED.relative_to(REPO_ROOT)}")
+    parser.add_argument("-o", "--output", type=Path,
+                        help="also write the measured counts to this file")
+    args = parser.parse_args(argv)
+    measured = measure_all()
+    text = json.dumps(measured, indent=1, sort_keys=True) + "\n"
+    if args.output is not None:
+        args.output.write_text(text)
+    pinned = json.loads(PINNED.read_text()) if PINNED.exists() else {}
+    same = _report(measured, pinned)
+    if args.update:
+        PINNED.write_text(text)
+        print(f"wrote {PINNED.relative_to(REPO_ROOT)}")
+        return 0
+    if not same:
+        print("calls differ from the pinned budget", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

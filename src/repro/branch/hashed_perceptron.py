@@ -8,14 +8,19 @@ most accurate option in the paper's case study.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.branch.base import BranchPredictor
-from repro.util.bitops import fold_xor, ilog2
+from repro.util.bitops import ilog2
 
 
 class HashedPerceptronPredictor(BranchPredictor):
-    """Sum of per-table weights selected by (pc, history-segment) hashes."""
+    """Sum of per-table weights selected by (pc, history-segment) hashes.
+
+    :meth:`update` is the whole predict-score-train step (the base class's
+    ``_train`` hook is never reached), with each table's index and the
+    weight sum computed once, in one loop.
+    """
 
     name = "hashed_perceptron"
 
@@ -24,8 +29,12 @@ class HashedPerceptronPredictor(BranchPredictor):
                  weight_bits: int = 7) -> None:
         super().__init__()
         self._index_bits = ilog2(table_size)
+        if not self._index_bits:
+            raise ValueError("table_size must be at least 2")
         self._mask = table_size - 1
         self.history_lengths = tuple(history_lengths)
+        self._segment_masks = tuple((1 << length) - 1
+                                    for length in self.history_lengths)
         self._max_history = max(self.history_lengths)
         self._weight_max = (1 << (weight_bits - 1)) - 1
         self._weight_min = -(1 << (weight_bits - 1))
@@ -35,26 +44,34 @@ class HashedPerceptronPredictor(BranchPredictor):
         ]
         self._history = 0  # packed global history, LSB = most recent
 
-    def _indices(self, pc: int) -> List[int]:
-        indices = []
-        for length in self.history_lengths:
-            segment = self._history & ((1 << length) - 1) if length else 0
-            hashed = fold_xor((pc >> 2) ^ (segment * 0x9E3779B1), self._index_bits)
-            indices.append(hashed & self._mask)
-        return indices
+    def _lookup(self, pc: int) -> Tuple[List[int], int]:
+        """Each table's index and the summed weight they select.
 
-    def _output(self, pc: int) -> int:
-        return sum(
-            table[index] for table, index in zip(self._tables, self._indices(pc))
-        )
+        A table's index is the PC XOR its hashed history segment, folded to
+        the index width by :func:`~repro.util.bitops.fold_xor` (inlined).
+        """
+        bits = self._index_bits
+        mask = self._mask
+        pc_bits = pc >> 2
+        history = self._history
+        indices = []
+        output = 0
+        for table, segment_mask in zip(self._tables, self._segment_masks):
+            value = pc_bits ^ ((history & segment_mask) * 0x9E3779B1)
+            index = 0
+            while value:
+                index ^= value & mask
+                value >>= bits
+            indices.append(index)
+            output += table[index]
+        return indices, output
 
     def _predict(self, pc: int) -> bool:
-        return self._output(pc) >= 0
+        return self._lookup(pc)[1] >= 0
 
     def update(self, pc: int, taken: bool) -> bool:
         """Predict + train with the index hashes computed once."""
-        indices = self._indices(pc)
-        output = sum(table[index] for table, index in zip(self._tables, indices))
+        indices, output = self._lookup(pc)
         prediction = output >= 0
         self.stats.lookups += 1
         correct = prediction == taken
@@ -73,20 +90,3 @@ class HashedPerceptronPredictor(BranchPredictor):
             (1 << self._max_history) - 1
         )
         return correct
-
-    def _train(self, pc: int, taken: bool) -> None:
-        indices = self._indices(pc)
-        output = sum(table[index] for table, index in zip(self._tables, indices))
-        prediction = output >= 0
-        if prediction != taken or abs(output) <= self.threshold:
-            delta = 1 if taken else -1
-            for table, index in zip(self._tables, indices):
-                weight = table[index] + delta
-                if weight > self._weight_max:
-                    weight = self._weight_max
-                elif weight < self._weight_min:
-                    weight = self._weight_min
-                table[index] = weight
-        self._history = ((self._history << 1) | int(taken)) & (
-            (1 << self._max_history) - 1
-        )

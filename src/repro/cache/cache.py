@@ -10,22 +10,24 @@ in :mod:`repro.cache.hierarchy`; the contention accounting lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.cache.replacement import POLICIES, make_policy
 from repro.cache.state import BlockView, CacheSetState
 from repro.util.bitops import fold_xor, ilog2
 
 
-@dataclass(slots=True)
-class EvictedBlock:
-    """What fell out of the cache on a fill or invalidation."""
+class EvictedBlock(NamedTuple):
+    """What fell out of the cache on a fill or invalidation (read-only)."""
 
     tag: int
     dirty: bool
     owner: int
     prefetched: bool
+
+
+#: ``_new_tuple(EvictedBlock, fields)`` skips the generated ``__new__`` frame.
+_new_tuple = tuple.__new__
 
 
 class CacheStats:
@@ -244,12 +246,14 @@ class Cache:
                 stats.writeback_fills += 1
             return None
         if max_owner_ways is None and not self.way_allocations:
-            # Unconstrained fill (the common case): prefer an invalid way via
-            # the C-speed byte scan, else the policy picks among valid ones.
-            base = set_index * self.assoc
-            way = state.valid.find(0, base, base + self.assoc)
-            way = way - base if way >= 0 else self._policy_victim_valid(
-                set_index, state)
+            # Unconstrained fill (the common case): the tag map holds exactly
+            # the set's valid blocks, so a full set goes straight to the
+            # policy; otherwise the C-speed byte scan finds an invalid way.
+            if len(tags) == self.assoc:
+                way = self._policy_victim_valid(set_index, state)
+            else:
+                base = set_index * self.assoc
+                way = state.valid.find(0, base, base + self.assoc) - base
         else:
             way = self._choose_victim(set_index, owner, max_owner_ways)
         index = set_index * self.assoc + way
@@ -261,8 +265,9 @@ class Cache:
             old_tag = state.tags[index]
             old_dirty = state.dirty[index]
             old_owner = state.owners[index]
-            evicted = EvictedBlock(old_tag, old_dirty != 0, old_owner,
-                                   state.prefetched[index] != 0)
+            evicted = _new_tuple(EvictedBlock, (
+                old_tag, old_dirty != 0, old_owner,
+                state.prefetched[index] != 0))
             del tags[old_tag]
             stats.evictions += 1
             if old_dirty:
@@ -343,8 +348,9 @@ class Cache:
             return None
         state = self.state
         index = set_index * self.assoc + way
-        info = EvictedBlock(state.tags[index], bool(state.dirty[index]),
-                            state.owners[index], bool(state.prefetched[index]))
+        info = _new_tuple(EvictedBlock, (
+            state.tags[index], state.dirty[index] != 0, state.owners[index],
+            state.prefetched[index] != 0))
         state.clear(index)
         self.stats.invalidations += 1
         if self._events is not None:
@@ -360,8 +366,8 @@ class Cache:
             return None
         tag = state.tags[index]
         owner = state.owners[index]
-        info = EvictedBlock(tag, state.dirty[index] != 0, owner,
-                            state.prefetched[index] != 0)
+        info = _new_tuple(EvictedBlock, (tag, state.dirty[index] != 0, owner,
+                                         state.prefetched[index] != 0))
         self._tags[set_index].pop(tag, None)
         # state.clear, inlined (PInTE's INVALIDATE path is hot).
         state.valid[index] = 0
@@ -377,7 +383,11 @@ class Cache:
 
     def mark_dirty(self, block_addr: int) -> bool:
         """Set the dirty bit on a resident block (write-back arrival)."""
-        set_index = self.set_index(block_addr)
+        block = block_addr >> self._offset_bits
+        if self.hash_index:
+            set_index = fold_xor(block, self._index_bits)
+        else:
+            set_index = block & self._set_mask
         way = self._tags[set_index].get(block_addr, -1)
         if way < 0:
             return False

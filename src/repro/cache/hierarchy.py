@@ -137,7 +137,9 @@ class MemoryHierarchy:
             self._run_prefetcher(l2, self.l2_prefetcher, pc, block, l2_hit,
                                  cycle + latency)
         if l2_hit:
-            self._fill_l1(l1, block, is_write, cycle + latency)
+            evicted = l1.fill(block, owner, is_write)
+            if evicted is not None and evicted.dirty:
+                self._writeback_to_l2(evicted.tag, cycle + latency)
             if l1_prefetcher is not None:
                 self._run_prefetcher(l1, l1_prefetcher, pc, block, False,
                                      cycle + latency)
@@ -160,8 +162,12 @@ class MemoryHierarchy:
             if self.inclusion != "exclusive":
                 self._llc_fill(block, cycle + latency)
 
-        self._fill_l2(block, cycle + latency, dirty=dirty_from_llc)
-        self._fill_l1(l1, block, is_write, cycle + latency)
+        evicted = l2.fill(block, owner, dirty_from_llc)
+        if evicted is not None:
+            self._l2_eviction(evicted, cycle + latency)
+        evicted = l1.fill(block, owner, is_write)
+        if evicted is not None and evicted.dirty:
+            self._writeback_to_l2(evicted.tag, cycle + latency)
         if l1_prefetcher is not None:
             self._run_prefetcher(l1, l1_prefetcher, pc, block, False,
                                  cycle + latency)
@@ -174,21 +180,11 @@ class MemoryHierarchy:
         return latency
 
     # ------------------------------------------------------------------- fills
-    def _fill_l1(self, l1: Cache, block: int, dirty: bool, cycle: int) -> None:
-        evicted = l1.fill(block, self.owner, dirty=dirty)
-        if evicted is not None and evicted.dirty:
-            self._writeback_to_l2(evicted.tag, cycle)
-
     def _writeback_to_l2(self, block: int, cycle: int) -> None:
         if self.l2.mark_dirty(block):
             self.l2.stats.writeback_fills += 1
             return
         evicted = self.l2.fill(block, self.owner, dirty=True, is_writeback_fill=True)
-        if evicted is not None:
-            self._l2_eviction(evicted, cycle)
-
-    def _fill_l2(self, block: int, cycle: int, dirty: bool = False) -> None:
-        evicted = self.l2.fill(block, self.owner, dirty=dirty)
         if evicted is not None:
             self._l2_eviction(evicted, cycle)
 

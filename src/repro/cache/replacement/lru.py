@@ -20,15 +20,14 @@ class LruPolicy(ReplacementPolicy):
         self._stacks: List[List[int]] = [list(range(n_ways)) for _ in range(n_sets)]
 
     def _touch(self, set_index: int, way: int) -> None:
+        """Move ``way`` to the MRU end of its set's recency stack."""
         stack = self._stacks[set_index]
         stack.remove(way)
         stack.insert(0, way)
 
-    def on_hit(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
-
-    def on_insert(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
+    # A hit, a fill and a PInTE promotion all make ``way`` MRU-most: the
+    # hooks *are* the touch, so the per-access path adds no second frame.
+    on_hit = on_insert = promote = _touch
 
     def eviction_order_into(self, set_index: int, out: List[int]) -> List[int]:
         stack = self._stacks[set_index]
@@ -36,9 +35,6 @@ class LruPolicy(ReplacementPolicy):
         for position, way in enumerate(stack):
             out[last - position] = way
         return out
-
-    def promote(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
 
     def _victim_valid(self, set_index, state) -> int:
         # The eviction end is the recency stack's tail — O(1), no read-out.

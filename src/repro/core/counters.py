@@ -96,7 +96,9 @@ class ContentionTracker:
     # -- events ---------------------------------------------------------------
     def record_access(self, owner: int, block_addr: int, hit: bool) -> None:
         """A demand LLC access by ``owner``; detects interference on miss."""
-        counters = self.counters(owner)
+        counters = self._counters.get(owner)
+        if counters is None:
+            counters = self.counters(owner)
         counters.llc_accesses += 1
         if not hit:
             counters.llc_misses += 1

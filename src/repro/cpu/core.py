@@ -104,68 +104,26 @@ class Core:
         return self.stats.instructions / self.cycle
 
     def execute(self, record: TraceRecord) -> None:
-        """Retire one instruction, advancing the core clock."""
-        stats = self.stats
-        cost = self._issue_cost
-        stats.base_cycles += cost
-        hierarchy = self.hierarchy
-        l1_latency = self._l1d_latency
+        """Retire one instruction, advancing the core clock.
 
-        # Instruction fetch: only when the PC leaves the current block.
-        fetch_block = record.pc >> 6
-        if fetch_block != self._last_fetch_block:
-            self._last_fetch_block = fetch_block
-            fetch_latency = hierarchy.fetch(record.pc, self.cycle)
-            if fetch_latency > self._l1i_latency:
-                stall = fetch_latency - self._l1i_latency
-                cost += stall
-                stats.fetch_stall_cycles += stall
-
-        if record.load_addr is not None:
-            latency = hierarchy.load(record.pc, record.load_addr, self.cycle)
-            stats.loads += 1
-            stats.mem_accesses += 1
-            stats.mem_access_cycles += latency
-            beyond_l1 = latency - l1_latency
-            if beyond_l1 > 0:
-                if record.dependent:
-                    stall = beyond_l1  # serialised: a true pointer chase
-                else:
-                    stall = beyond_l1 / self._mlp
-                cost += stall
-                stats.load_stall_cycles += stall
-        if record.store_addr is not None:
-            latency = hierarchy.store(record.pc, record.store_addr, self.cycle)
-            stats.stores += 1
-            stats.mem_accesses += 1
-            stats.mem_access_cycles += latency
-            beyond_l1 = latency - l1_latency
-            if beyond_l1 > 0:
-                stall = beyond_l1 / STORE_OVERLAP
-                cost += stall
-                stats.store_stall_cycles += stall
-        if record.is_branch:
-            stats.branches += 1
-            if not self.predictor.update(record.pc, record.taken):
-                cost += self._mispredict_penalty
-                stats.branch_stall_cycles += self._mispredict_penalty
-
-        stats.instructions += 1
-        self._cycle_accumulator += cost
-        # Keep the integer clock (used for DRAM timing) in sync.
-        whole = int(self._cycle_accumulator)
-        if whole:
-            self.cycle += whole
-            self._cycle_accumulator -= whole
+        The record-object front end of :meth:`execute_cols`: the record's
+        fields are packed into the same column values a packed trace holds.
+        """
+        load, store = record.load_addr, record.store_addr
+        self.execute_cols(
+            record.pc, load or 0, store or 0,
+            (FLAG_HAS_LOAD if load is not None else 0)
+            | (FLAG_HAS_STORE if store is not None else 0)
+            | (FLAG_BRANCH if record.is_branch else 0)
+            | (FLAG_TAKEN if record.taken else 0)
+            | (FLAG_DEPENDENT if record.dependent else 0))
 
     def execute_cols(self, pc: int, load_addr: int, store_addr: int,
                      flags: int) -> None:
         """Retire one instruction given trace column values (no record).
 
         ``load_addr``/``store_addr`` are meaningful only when the matching
-        ``FLAG_HAS_LOAD``/``FLAG_HAS_STORE`` bit is set in ``flags``; the
-        arithmetic is identical to :meth:`execute`, so the two paths
-        produce bit-identical timing for the same stream.
+        ``FLAG_HAS_LOAD``/``FLAG_HAS_STORE`` bit is set in ``flags``.
         """
         stats = self.stats
         cost = self._issue_cost

@@ -106,20 +106,10 @@ class Dram:
         self._bank_bits = ilog2(config.banks_per_channel)
         self._row_bits = ilog2(config.row_bytes)
 
-    def _map(self, address: int) -> tuple:
-        """Address -> (channel, global bank index, row)."""
-        block = address >> 6  # interleave channels at block granularity
-        channel = block & (self.config.channels - 1)
-        above = block >> self._channel_bits
-        bank = above & (self.config.banks_per_channel - 1)
-        row = address >> self._row_bits
-        return channel, channel * self.config.banks_per_channel + bank, row
-
     def _refresh_delay(self, bank: int, start: int) -> int:
-        """Stall for an in-progress refresh; refreshes also close open rows."""
+        """Stall for an in-progress refresh (only called when refresh is
+        modelled); refreshes also close open rows."""
         interval = self.config.refresh_interval_cycles
-        if not interval:
-            return 0
         epoch = start // interval
         if epoch > self._refresh_epochs[bank]:
             self._refresh_epochs[bank] = epoch
@@ -132,24 +122,32 @@ class Dram:
 
     def access(self, address: int, cycle: int, is_write: bool = False) -> int:
         """Service one request arriving at ``cycle``; returns total latency."""
-        channel, bank, row = self._map(address)
-        refresh_delay = self._refresh_delay(bank, cycle)
+        config = self.config
+        # Address -> channel, global bank index and row: channels interleave
+        # at block granularity, banks on the block bits above the channel.
+        block = address >> 6
+        channel = block & (config.channels - 1)
+        bank = channel * config.banks_per_channel + (
+            (block >> self._channel_bits) & (config.banks_per_channel - 1))
+        row = address >> self._row_bits
+        refresh_delay = (self._refresh_delay(bank, cycle)
+                         if config.refresh_interval_cycles else 0)
         cycle += refresh_delay
         open_row = self._open_rows[bank]
         if open_row == row:
-            base = self.config.row_hit_latency
+            base = config.row_hit_latency
             self.stats.row_hits += 1
         elif open_row == -1:
-            base = self.config.row_miss_latency
+            base = config.row_miss_latency
             self.stats.row_misses += 1
         else:
-            base = self.config.row_conflict_latency
+            base = config.row_conflict_latency
             self.stats.row_conflicts += 1
         self._open_rows[bank] = row
 
         start = max(cycle, self._channel_busy_until[channel])
         queue_delay = start - cycle
-        self._channel_busy_until[channel] = start + self.config.service_cycles
+        self._channel_busy_until[channel] = start + config.service_cycles
         latency = refresh_delay + queue_delay + base
         self.stats.queue_cycles += queue_delay
         self.stats.total_latency += latency

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.cache.cache import Cache, CacheStats
@@ -88,6 +89,9 @@ DEFAULT_SAMPLE_INTERVAL = 10_000
 #: Address-space offset applied per core so traces never share data
 #: (they still collide in cache sets, which is what contention is).
 ADDRESS_SPACE_STRIDE = 1 << 44
+
+#: A core's clock, read at C speed by the multicore scheduler.
+_cycle_of = attrgetter("cycle")
 
 
 def reset_stats(core: Core, hierarchy: MemoryHierarchy,
@@ -192,6 +196,11 @@ class Session:
                 reset_stats(core, hierarchy, self.tracker, owner)
             if self.engine is not None:
                 self.engine.stats = type(self.engine.stats)()
+            # The live-clock hooks' counters are measured-region statistics.
+            if self.periodic is not None:
+                self.periodic.rounds = self.periodic.invalidations = 0
+            if self.background is not None:
+                self.background.requests = 0
             if self.events is not None:
                 # Warm-up events go with the warm-up statistics, so the
                 # trace's per-kind counts stay consistent with the metrics.
@@ -470,10 +479,10 @@ class MultiCoreStepper:
         periodic = self.periodic
         background = self.background
         primary = cores[0]
-        ids = range(len(cores))
         retired = 0
         while retired < count:
-            core_id = min(ids, key=lambda i: cores[i].cycle)
+            clocks = list(map(_cycle_of, cores))
+            core_id = clocks.index(min(clocks))
             pcs, loads, stores, flags, n_records = columns[core_id]
             index = indices[core_id]
             cores[core_id].execute_cols(pcs[index], loads[index],
@@ -494,22 +503,21 @@ class MultiCoreStepper:
         # while cycle_a < cycle_j for all j < a and cycle_a <= cycle_j for
         # all j > a. Computing those two bounds once per selection and
         # inner-looping until violated reproduces the stepwise schedule
-        # bit-for-bit without a min() per instruction.
+        # bit-for-bit without a min() per instruction. The clocks are read
+        # once per selection; ``index(min)`` is the first-minimal argmin.
         cores = self.cores
         columns = self.columns
         indices = self.indices
-        n_cores = len(cores)
-        ids = range(n_cores)
         infinity = float("inf")
         retired = 0
         while retired < count:
-            core_id = min(ids, key=lambda i: cores[i].cycle)
+            clocks = list(map(_cycle_of, cores))
+            core_id = clocks.index(min(clocks))
             core = cores[core_id]
             execute_cols = core.execute_cols
             pcs, loads, stores, flags, n_records = columns[core_id]
             index = indices[core_id]
-            upper = min((cores[j].cycle for j in range(core_id + 1, n_cores)),
-                        default=infinity)
+            upper = min(clocks[core_id + 1:], default=infinity)
             if core_id == 0:
                 while True:
                     execute_cols(pcs[index], loads[index], stores[index],
@@ -521,7 +529,7 @@ class MultiCoreStepper:
                     if retired == count or core.cycle > upper:
                         break
             else:
-                lower = min(cores[j].cycle for j in range(core_id))
+                lower = min(clocks[:core_id])
                 while True:
                     execute_cols(pcs[index], loads[index], stores[index],
                                  flags[index])

@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core import PinteConfig
+from repro.sim import simulate
 from repro.sim.multicore import simulate_multiprogrammed, simulate_pair
 from repro.sim.session import (
     MultiCoreStepper,
@@ -237,3 +238,37 @@ class TestHybridContext:
         result = run_job(job, config, tiny_scale)
         assert result.mode == "hybrid"
         assert result.p_induce == 0.4
+
+
+class TestHookCountersSkipWarmup:
+    """The periodic trigger's rounds and the background DRAM requests are
+    statistics like any other: a run with warm-up W reports exactly what
+    instructions W..W+N added to a cold run's counts."""
+
+    EXTRAS = ("pinte_periodic_rounds", "dram_background_requests",
+              "pinte_triggers")
+    PINTE = PinteConfig(0.5, seed=3, trigger="periodic", period_cycles=200,
+                        dram_background_rpkc=50)
+    WARMUP, BUDGET = 1_500, 2_500
+
+    @pytest.mark.parametrize("host", ["single-core", "hybrid"])
+    def test_measured_region_only(self, host, config, lbm_trace,
+                                  gromacs_trace):
+        def extras(warmup, budget):
+            if host == "single-core":
+                result = simulate(lbm_trace, config, pinte=self.PINTE,
+                                  warmup_instructions=warmup,
+                                  sim_instructions=budget)
+            else:
+                result = simulate_pair(lbm_trace, gromacs_trace, config,
+                                       pinte=self.PINTE,
+                                       warmup_instructions=warmup,
+                                       sim_instructions=budget)
+            return result.extra
+
+        measured = extras(self.WARMUP, self.BUDGET)
+        head = extras(0, self.WARMUP)
+        whole = extras(0, self.WARMUP + self.BUDGET)
+        for name in self.EXTRAS:
+            assert head[name] > 0, name  # the warm-up really counted some
+            assert measured[name] == whole[name] - head[name], name
