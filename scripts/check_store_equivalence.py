@@ -2,19 +2,19 @@
 """Assert two campaign result stores hold equivalent records.
 
 Equivalence is :func:`repro.campaign.canonical_records` — the stores'
-result and failure records compared after stripping everything an
-executor is allowed to vary (wall-clock timings, ``*_seconds`` extras,
-trace-cache provenance, failure tracebacks). Two runs of the same
-campaign through different executors (``pool`` vs ``spawn``), process
-counts, or resume paths must pass; any divergence in *simulated* values
-fails with a per-job diff summary.
+result and failure records compared after stripping everything the
+execution path is allowed to vary (wall-clock timings, ``*_seconds``
+extras, trace-cache provenance, failure tracebacks). Two runs of the same
+campaign on the work-stealing pool and inline (``processes=1``), at
+different process counts, or through different resume paths must pass;
+any divergence in *simulated* values fails with a per-job diff summary.
 
 Usage::
 
     python scripts/check_store_equivalence.py A.jsonl B.jsonl
 
 Exit 0 when equivalent, 1 with the first differing job ids otherwise.
-CI's ``pool-smoke`` job runs this against a pool store and a spawn
+CI's ``pool-smoke`` job runs this against a pool store and an inline
 rerun of the same jobs.
 """
 

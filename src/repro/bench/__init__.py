@@ -14,7 +14,6 @@ from repro.bench.gate import (
     check_regressions,
     run_gate,
 )
-from repro.bench.pool import PoolBenchResult, run_pool_bench
 from repro.bench.reproduce import ReproduceBenchResult, run_reproduce_bench
 from repro.bench.session import SessionBenchResult, run_session_bench
 from repro.bench.trace import TraceBenchResult, run_trace_bench
@@ -25,7 +24,6 @@ __all__ = [
     "DatapathBenchResult",
     "GateReport",
     "MetricCheck",
-    "PoolBenchResult",
     "ReproduceBenchResult",
     "SessionBenchResult",
     "TraceBenchResult",
@@ -33,7 +31,6 @@ __all__ = [
     "load_baseline",
     "run_datapath_bench",
     "run_gate",
-    "run_pool_bench",
     "run_reproduce_bench",
     "run_session_bench",
     "run_trace_bench",

@@ -43,7 +43,7 @@ __all__ = [
 DEFAULT_TOLERANCE = 0.30
 
 #: Suite name -> callable running it at (repeats, scale) -> result object.
-_SUITES = ("datapath", "trace", "reproduce", "obs", "pool", "session")
+_SUITES = ("datapath", "trace", "reproduce", "obs", "session")
 
 
 def metric_direction(name: str) -> Optional[str]:
@@ -154,9 +154,6 @@ def _run_suite(suite: str, repeats: int, scale: float) -> dict:
     elif suite == "obs":
         from repro.bench.obs import run_obs_overhead_bench
         result = run_obs_overhead_bench(repeats=repeats, scale=scale)
-    elif suite == "pool":
-        from repro.bench.pool import run_pool_bench
-        result = run_pool_bench(repeats=repeats, scale=scale)
     elif suite == "session":
         from repro.bench.session import run_session_bench
         result = run_session_bench(repeats=repeats, scale=scale)

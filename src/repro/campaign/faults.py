@@ -20,13 +20,15 @@ Grammar (examples)::
                                   tests park one worker on it)
 
 ``flaky``/``crash``/``sleep`` require a real workload after ``+`` so the
-job eventually produces a result; the always-failing kinds ignore any
+job eventually produces a result; ``N`` is a whole number >= 0 and
+``SECS`` a finite number >= 0. The always-failing kinds ignore any
 ``+workload`` suffix. Behaviour depends only on the attempt number the
 engine passes in, so it is deterministic across processes and resumes.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -116,7 +118,12 @@ def parse_fault(workload: str) -> Optional[FaultSpec]:
         if not real:
             raise ValueError(
                 f"{kind} fault needs a real workload: __fault:{kind}:N+real")
-        return FaultSpec(kind, fail_attempts=int(parts[1]), real_workload=real)
+        count = parts[1]
+        if not (count.isascii() and count.isdigit()):
+            raise ValueError(
+                f"{kind} fault count must be a whole number >= 0, got "
+                f"{count!r}: __fault:{kind}:N+real")
+        return FaultSpec(kind, fail_attempts=int(count), real_workload=real)
     if kind == "sleep":
         if len(parts) != 2:
             raise ValueError(
@@ -124,8 +131,15 @@ def parse_fault(workload: str) -> Optional[FaultSpec]:
         if not real:
             raise ValueError(
                 "sleep fault needs a real workload: __fault:sleep:SECS+real")
-        return FaultSpec(kind, real_workload=real,
-                         sleep_seconds=float(parts[1]))
+        try:
+            seconds = float(parts[1])
+        except ValueError:
+            seconds = math.nan
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise ValueError(
+                "sleep fault duration must be a finite number of seconds "
+                f">= 0, got {parts[1]!r}: __fault:sleep:SECS+real")
+        return FaultSpec(kind, real_workload=real, sleep_seconds=seconds)
     if len(parts) != 1:
         raise ValueError(f"fault kind {kind!r} takes no parameter")
     return FaultSpec(kind)

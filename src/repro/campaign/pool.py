@@ -1,13 +1,10 @@
 """Persistent work-stealing worker pool for campaign execution.
 
-The spawn executor (:meth:`repro.campaign.engine._CampaignRun.run_parallel`)
-forks one process *per job attempt*. That is the right isolation story for
-long jobs — a crash takes down nothing but itself — but on many-short-jobs
-campaigns (deduplicated artifact plans, sensitivity sweeps) the fork +
-interpreter + import + trace-regeneration tax dominates the simulation
-itself, and static round-robin distribution leaves fast workers idle
-behind a straggler. This module is the pool executor selected by
-``--executor pool`` (the default):
+Every campaign that does not run inline runs here (see
+:func:`repro.campaign.engine.run_campaign` for the choice). Campaigns
+are often many short jobs — deduplicated artifact plans, sensitivity
+sweeps — so the pool keeps the per-job cost near the simulation itself
+and keeps every worker busy:
 
 * **fork once, stream jobs** — N long-lived workers are forked at campaign
   start; jobs stream to them over pipes and results stream back, so the
@@ -20,21 +17,22 @@ behind a straggler. This module is the pool executor selected by
   longest peer deque. Stealing is parent-mediated — deques live in the
   parent, so there are no cross-process locks — but the accounting is the
   classic one: owners take from the front, thieves from the back.
-* **same failure semantics as spawn** — a worker that dies mid-job is a
-  ``crash`` (and only that worker is respawned, keeping its deque); an
-  overdue job gets the worker killed and respawned and counts as a
-  ``timeout``; exceptions come back over the pipe as ``error``. All three
-  flow through the engine's shared retry/record paths, so failure records
-  are word-for-word identical to the spawn executor's.
+* **failure isolation** — a worker that dies mid-job is a ``crash`` (and
+  only that worker is respawned, keeping its deque); an overdue job gets
+  the worker killed and respawned and counts as a ``timeout``; exceptions
+  come back over the pipe as ``error``. All three flow through the
+  engine's retry/record paths, which the inline path shares, so failure
+  records do not depend on where a job ran.
 * **liveness for ``campaign watch``** — the pool atomically rewrites
   ``<store>.workers.json`` (per-worker pid, state, occupancy, steal
   counts) on a short cadence, and — when telemetry is on — appends
   pool-level gauges to a ``_pool`` spool the telemetry fold publishes.
 
-Result stores produced by the two executors are equivalent up to
-volatile fields (:func:`repro.campaign.store.canonical_records`), and a
-campaign started under one executor can be resumed under the other — the
-store format carries no executor-specific state.
+A pool campaign and an inline campaign of the same jobs write equivalent
+result stores up to volatile fields
+(:func:`repro.campaign.store.canonical_records`), and a campaign started
+on one path can be resumed on the other — the store format carries no
+path-specific state.
 """
 
 from __future__ import annotations
@@ -53,18 +51,10 @@ from repro.campaign.store import write_worker_records
 from repro.obs.telemetry import pool_spool_path
 
 __all__ = [
-    "DEFAULT_EXECUTOR",
-    "EXECUTORS",
     "MEMO_CAPACITY",
     "PoolExecutor",
     "WorkerTraceMemo",
 ]
-
-#: Known campaign executors (`--executor` choices).
-EXECUTORS = ("pool", "spawn")
-
-#: The executor used when none is requested.
-DEFAULT_EXECUTOR = "pool"
 
 #: Traces a worker memoises in memory. Campaigns cycle over a small
 #: workload panel, so a handful of entries covers the working set; the
@@ -79,10 +69,9 @@ class WorkerTraceMemo:
     """Per-worker in-memory trace cache layered over the shared store.
 
     A persistent worker runs many jobs that share input traces; memoising
-    built traces in worker memory is the cache a process-per-job executor
-    can never have, and the main reason short-job campaigns speed up
-    under the pool. Accounting is chosen so ``result.extra`` matches what
-    a fresh worker would report:
+    built traces in worker memory is the main reason short-job campaigns
+    are fast on the pool. Accounting is chosen so ``result.extra``
+    matches what a fresh process would report:
 
     * layered over a shared :class:`~repro.trace.store.TraceStore`, a
       memo hit counts as a store *hit* — the entry provably exists in the
@@ -138,8 +127,8 @@ def _pool_worker_main(recv_conn, send_conn, config, scale,
     attempt; the reply is ``("ok", jid, result)`` or ``("err", jid, type,
     message, traceback)``. A ``("stop",)`` message (or a closed pipe) ends
     the loop. Telemetry spooling happens here, per attempt, through the
-    same :func:`~repro.campaign.engine._spooled_execute` the spawn worker
-    and the inline path use — so spool records are indistinguishable.
+    same :func:`~repro.campaign.engine._spooled_execute` the inline path
+    uses — so spool records are indistinguishable.
     """
     from repro.campaign.engine import _spooled_execute
     from repro.sim.batch import _coerce_store
@@ -194,13 +183,13 @@ class PoolExecutor:
 
     Drives one :class:`~repro.campaign.engine._CampaignRun` — all outcome
     handling (success records, retry/backoff, failure capture, telemetry
-    polling) goes through the run's shared methods, so the pool and spawn
-    executors cannot drift apart semantically.
+    polling) goes through the run's methods the inline path also uses, so
+    the two paths cannot drift apart semantically.
     """
 
     def __init__(self, run, processes: int) -> None:
         self.run = run
-        self.processes = max(1, processes)
+        self.processes = processes
         self.workers: List[_Worker] = []
         self.steals = 0
         self.respawns = 0

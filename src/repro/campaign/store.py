@@ -19,20 +19,20 @@ tolerates (and only there — corruption mid-file still raises).
 Alongside the store live three derived documents:
 
 * ``<store>.manifest.json`` — the campaign manifest: every job plus the
-  machine/scale/retry/timeout/shard/executor settings, written by
+  machine/scale/retry/timeout/shard settings, written by
   ``campaign run`` and read back by ``campaign status``/``resume``.
 * ``<store>.failures.json`` — the failure manifest, rewritten after every
   campaign pass so "what still needs attention" is one ``cat`` away.
-* ``<store>.workers.json`` — pool-executor worker liveness: per-worker
+* ``<store>.workers.json`` — pool worker liveness: per-worker
   pid/state/occupancy/steal counts, atomically rewritten by the pool
   while it runs (see :mod:`repro.campaign.pool`) and rendered by
   ``campaign watch``.
 
-The store's contents are executor-independent: the pool and spawn
-executors append the same records for the same jobs, up to volatile
+The store's contents do not depend on where jobs ran: the pool and the
+inline path append the same records for the same jobs, up to volatile
 fields (wall times, cache provenance, traceback frames).
 :func:`canonical_records` strips exactly those fields so two stores can
-be compared for semantic equality — the executor-equivalence check CI
+be compared for semantic equality — the store-equivalence check CI
 runs.
 """
 
@@ -378,7 +378,6 @@ def write_campaign_manifest(
     processes: Optional[int] = None,
     trace_cache: Optional[str] = None,
     telemetry_interval: Optional[float] = None,
-    executor: Optional[str] = None,
     plugins: Optional[Sequence[str]] = None,
 ) -> Path:
     """Write ``<store>.manifest.json`` describing the whole campaign."""
@@ -397,7 +396,6 @@ def write_campaign_manifest(
         "processes": processes,
         "trace_cache": trace_cache,
         "telemetry_interval": telemetry_interval,
-        "executor": executor,
         "plugins": list(plugins) if plugins else None,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -413,7 +411,9 @@ def load_campaign_manifest(path: Union[str, Path]) -> dict:
     ``schema`` tag (manifests written at id-scheme v3 or later). Legacy
     manifests keep their raw ``dataclasses.asdict`` dict — callers fall
     back to ``machine_preset`` for those, and the store's id-scheme gate
-    refuses to resume them anyway.
+    refuses to resume them anyway. Keys this version no longer writes,
+    such as the ``executor`` older manifests recorded, are left in the
+    dict and ignored.
     """
     document = json.loads(Path(path).read_text())
     if document.get("format") != MANIFEST_FORMAT:
@@ -471,7 +471,7 @@ def load_worker_records(store_path: Union[str, Path]) -> Optional[dict]:
 
     Lenient on purpose: a missing, unreadable or wrong-format document
     means "no pool information", never an error — the watch dashboard
-    must render campaigns run by the spawn executor (or older versions)
+    must render inline campaigns (and ones older versions ran)
     unchanged.
     """
     path = workers_path_for(store_path)
@@ -485,20 +485,20 @@ def load_worker_records(store_path: Union[str, Path]) -> Optional[dict]:
     return document
 
 
-# -- executor-equivalence canonicalisation ----------------------------------
+# -- store-equivalence canonicalisation -------------------------------------
 
-#: ``result.extra`` keys that legitimately differ between executors: wall
+#: ``result.extra`` keys that legitimately differ between runs: wall
 #: times depend on scheduling, and cache hit/miss provenance depends on
 #: which worker (with which warm memo) ran the job.
 _VOLATILE_EXTRA_KEYS = ("trace_cache_hits", "trace_cache_misses")
 
 
 def canonical_records(contents: StoreContents) -> List[dict]:
-    """Executor-independent view of a store's records, sorted by job id.
+    """Path-independent view of a store's records, sorted by job id.
 
     Two campaigns over the same jobs are *equivalent* when this function
-    returns the same list for both stores, whichever executor (pool or
-    spawn, any process count, resumed or not) produced them. Stripped as
+    returns the same list for both stores, however they ran (pool or
+    inline, any process count, resumed or not). Stripped as
     volatile: result/record wall times and ``*_seconds`` extras, trace
     cache hit/miss provenance, failure tracebacks (frame lists differ
     between worker entry points), and the header timestamp (the header is

@@ -97,8 +97,8 @@ class CampaignView:
     corrupt_spool_lines: int = 0
     trace_cache_hit_rate: Optional[float] = None
     registry: MetricRegistry = field(default_factory=MetricRegistry)
-    #: The pool executor's ``<store>.workers.json`` document (worker
-    #: pids, occupancy, steal counts); ``None`` for spawn/inline runs.
+    #: The pool's ``<store>.workers.json`` document (worker pids,
+    #: occupancy, steal counts); ``None`` for inline runs.
     pool: Optional[dict] = None
 
     @property
@@ -205,7 +205,7 @@ def build_view(store_path: Union[str, Path],
         telemetry = CampaignTelemetry(telemetry_dir_for(store_path))
     telemetry.poll()
     view.telemetry = telemetry
-    # Job spools only: the pool executor's `_pool` gauge spool (and any
+    # Job spools only: the pool's `_pool` gauge spool (and any
     # future `_`-prefixed pseudo-spool) is scheduler telemetry, not a job.
     view.spool_count = sum(1 for job_id in telemetry.jobs
                            if not job_id.startswith("_"))

@@ -294,7 +294,6 @@ def execute_plan(
     progress=None,
     inject: Optional[str] = None,
     raise_on_failure: bool = True,
-    executor: Optional[str] = None,
 ) -> ExecutionOutcome:
     """Execute a union plan through the campaign engine.
 
@@ -313,9 +312,7 @@ def execute_plan(
     ``flaky:N+name`` — the ``__fault:`` prefix is added if missing) that
     is inserted at the midpoint of the first context group, for
     resumability drills. ``shard=(i, n)`` partitions each context group
-    deterministically across machines. ``executor`` selects the parallel
-    scheduler (``pool``/``spawn``, see
-    :func:`repro.campaign.run_campaign`) for every context group.
+    deterministically across machines.
     """
     processes = 1 if processes is None else processes
     if trace_store is None and timeout_seconds is None and processes <= 1:
@@ -355,7 +352,6 @@ def execute_plan(
             progress=progress,
             raise_on_failure=raise_on_failure,
             trace_store=trace_store,
-            executor=executor,
         )
         reports.append(report)
         results_by_id.update(report.results_by_id)

@@ -61,7 +61,6 @@ def run_reproduction(
     store=None,
     resume: bool = False,
     inject: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> Dict[str, str]:
     """Plan, execute and render the selected artifacts; ``{name: text}``.
 
@@ -75,8 +74,7 @@ def run_reproduction(
     :class:`~repro.trace.store.TraceStore`) serves traces from the shared
     on-disk cache instead of regenerating them. ``inject`` adds one fault
     job (``raise``/``exit``/``hang``/``flaky:N+name``) for resumability
-    drills. ``executor`` picks the parallel scheduler (``pool``/``spawn``).
-    Reports are identical however the jobs were executed.
+    drills. Reports are identical however the jobs were executed.
     """
     config = config or scaled_config()
     scale = scale or ExperimentScale()
@@ -86,7 +84,7 @@ def run_reproduction(
     plan = plan_union(selected, ctx)
     outcome = execute_plan(plan, processes=processes,
                            trace_store=trace_store, store=store,
-                           resume=resume, inject=inject, executor=executor)
+                           resume=resume, inject=inject)
     reports = {name: get_artifact(name).report(ctx, outcome.results)
                for name in selected}
     if output_dir is not None:

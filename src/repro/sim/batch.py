@@ -1,19 +1,13 @@
-"""Job manifests and the backward-compatible batch runner.
+"""Job manifests: the declarative job vocabulary campaigns are written in.
 
 The paper's Table I is a story about simulation cost; at reproduction
 scale the practical answer is :mod:`repro.campaign` — a fault-tolerant
 scheduler with retries, timeouts, a persistent result store, resume and
-sharding. This module keeps the two pieces the rest of the codebase (and
-older callers) build on:
-
-* :class:`Job` / :func:`run_job` / :func:`campaign_jobs` — the declarative
-  job vocabulary every campaign is written in. Jobs are specified by
-  *name*, not by object, so they pickle cheaply: each worker rebuilds its
-  trace from the workload registry.
-* :func:`run_batch` — a thin shim over
-  :func:`repro.campaign.run_campaign` preserving the original "list in,
-  results in job order out" contract (no retries, no store, first failure
-  raises).
+sharding, whose one entry point is :func:`repro.campaign.run_campaign`.
+This module holds what every campaign is written in:
+:class:`Job` / :func:`run_job` / :func:`campaign_jobs`. Jobs are
+specified by *name*, not by object, so they pickle cheaply: each worker
+rebuilds its trace from the workload registry.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig
 from repro.core import PinteConfig
-from repro.obs.profile import PhaseProfiler
 from repro.sim.multicore import simulate_multiprogrammed, simulate_pair
 from repro.sim.results import SimulationResult
 from repro.sim.runner import ExperimentScale
@@ -222,43 +215,6 @@ def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
             observe.registry.count("trace.cache.miss",
                                    int(result.extra["trace_cache_misses"]))
     return result
-
-
-def run_batch(jobs: Sequence[Job], config: MachineConfig,
-              scale: ExperimentScale,
-              processes: Optional[int] = None,
-              profiler: Optional[PhaseProfiler] = None,
-              executor: Optional[str] = None) -> List[SimulationResult]:
-    """Run jobs, in parallel when ``processes`` allows it.
-
-    Backward-compatible shim over :func:`repro.campaign.run_campaign`:
-    no retries, no result store, and the first job failure raises
-    :class:`repro.campaign.CampaignError` once the batch finishes.
-
-    ``processes=1`` (or a single job) executes **inline in this process**
-    — no worker subprocesses at all, whichever ``executor`` is named — so
-    ``pdb`` and profilers attach naturally and KeyboardInterrupt stops
-    the run cleanly. With more processes, ``executor`` picks the
-    scheduler: ``"pool"`` (the default) keeps N work-stealing workers
-    alive for the whole batch, ``"spawn"`` forks one process per job.
-    Results come back in job order either way. A ``profiler`` gets one
-    wall-clock span per job (inline) or one for the whole batch
-    (parallel — per-job spans would need cross-process clocks).
-    """
-    from repro.campaign.engine import RetryPolicy, run_campaign
-
-    jobs = list(jobs)
-    if not jobs:
-        return []
-    observe = None
-    if profiler is not None:
-        from repro.obs import Observation
-        observe = Observation(profiler=profiler)
-    report = run_campaign(jobs, config, scale, processes=processes,
-                          retry=RetryPolicy(max_attempts=1),
-                          observe=observe, raise_on_failure=True,
-                          executor=executor)
-    return report.results
 
 
 def campaign_jobs(

@@ -467,7 +467,7 @@ class MultiCoreStepper:
         if count <= 0:
             return 0
         if self.batched:
-            self._run_batched(count)
+            self._run_in_batches(count)
         else:
             self._run_stepwise(count)
         return count
@@ -498,7 +498,7 @@ class MultiCoreStepper:
                 if background is not None:
                     background.advance(primary.cycle)
 
-    def _run_batched(self, count: int) -> None:
+    def _run_in_batches(self, count: int) -> None:
         # Core ``a`` stays the argmin (first-minimal) selection exactly
         # while cycle_a < cycle_j for all j < a and cycle_a <= cycle_j for
         # all j > a. Computing those two bounds once per selection and

@@ -9,6 +9,7 @@ import pytest
 
 from repro.campaign import (
     CampaignError,
+    CampaignLimitError,
     Job,
     ResultStore,
     RetryPolicy,
@@ -18,7 +19,7 @@ from repro.campaign import (
 )
 from repro.campaign.ids import job_id
 from repro.sim import ExperimentScale
-from repro.sim.batch import run_batch, run_job
+from repro.sim.batch import run_job
 from repro.sim.serialize import result_to_dict
 
 TINY = ExperimentScale(warmup_instructions=500, sim_instructions=2_000,
@@ -56,6 +57,29 @@ class TestRetryPolicy:
     def test_rejects_zero_attempts(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
+
+
+class TestCampaignLimits:
+    @pytest.mark.parametrize("processes, timeout, message", [
+        (0, None, "processes must be >= 1, got 0"),
+        (-3, None, "processes must be >= 1, got -3"),
+        (2, 0.0, "timeout must be > 0 seconds, got 0.0"),
+        (None, -1.0, "timeout must be > 0 seconds, got -1.0"),
+        (1, float("nan"), "timeout must be > 0 seconds, got nan"),
+        (0, 0, "processes must be >= 1, got 0; "
+               "timeout must be > 0 seconds, got 0"),
+    ])
+    def test_rejected_before_any_job_runs(self, config, tmp_path,
+                                          processes, timeout, message):
+        events = []
+        store = tmp_path / "results.jsonl"
+        with pytest.raises(CampaignLimitError) as info:
+            run_campaign([Job("435.gromacs"), Job("453.povray")], config,
+                         TINY, processes=processes, timeout_seconds=timeout,
+                         store=store, progress=events.append)
+        assert str(info.value) == message
+        assert isinstance(info.value, ValueError)
+        assert events == [] and not store.exists()
 
 
 class TestRetries:
@@ -132,15 +156,19 @@ class TestInlineExecution:
         assert [r.trace_name for r in report.results] == ["435.gromacs",
                                                           "453.povray"]
 
-    def test_run_batch_single_process_inline(self, config, monkeypatch):
+    def test_single_pending_job_runs_without_pool(self, config,
+                                                  monkeypatch):
+        """One pending job with no timeout runs inline at any width."""
         import repro.campaign.engine as engine
 
         def no_processes(*args, **kwargs):
-            raise AssertionError("run_batch(processes=1) spawned a subprocess")
+            raise AssertionError("single-job campaign spawned a subprocess")
 
         monkeypatch.setattr(engine.multiprocessing, "Process", no_processes)
-        results = run_batch([Job("435.gromacs")], config, TINY, processes=1)
-        assert results[0].trace_name == "435.gromacs"
+        report = run_campaign([Job("435.gromacs")], config, TINY,
+                              processes=8)
+        assert report.ok
+        assert report.results[0].trace_name == "435.gromacs"
 
     def test_parallel_matches_inline(self, config):
         jobs = [Job("435.gromacs"),
@@ -152,14 +180,23 @@ class TestInlineExecution:
         assert result_dicts(inline) == result_dicts(parallel)
 
 
-class TestRunBatchShim:
-    def test_failure_raises_campaign_error(self, config):
-        with pytest.raises(CampaignError):
-            run_batch([Job(fault_workload("raise"))], config, TINY,
-                      processes=1)
+class TestRaiseOnFailure:
+    def test_failure_raises_campaign_error(self, config, tmp_path):
+        """The error comes after every job ran and was stored."""
+        store = tmp_path / "results.jsonl"
+        jobs = [Job(fault_workload("raise")), Job("435.gromacs")]
+        with pytest.raises(CampaignError) as info:
+            run_campaign(jobs, config, TINY, processes=1, retry=NO_RETRY,
+                         store=store, raise_on_failure=True)
+        [failure] = info.value.failures
+        assert failure.error_type == "InjectedFault"
+        contents = ResultStore(store).load()
+        assert len(contents.results) == 1 and len(contents.failures) == 1
 
-    def test_empty_batch(self, config):
-        assert run_batch([], config, TINY) == []
+    def test_empty_job_list(self, config):
+        report = run_campaign([], config, TINY, raise_on_failure=True)
+        assert report.ok
+        assert report.results == [] and report.total == 0
 
 
 class TestStoreIntegration:

@@ -43,6 +43,35 @@ class TestParseFault:
         with pytest.raises(ValueError, match="no parameter"):
             parse_fault("__fault:raise:3")
 
+    @pytest.mark.parametrize("name, grammar", [
+        ("__fault:flaky:-2+470.lbm", "__fault:flaky:N+real"),
+        ("__fault:flaky:x+470.lbm", "__fault:flaky:N+real"),
+        ("__fault:flaky:1.5+470.lbm", "__fault:flaky:N+real"),
+        ("__fault:flaky:+470.lbm", "__fault:flaky:N+real"),
+        ("__fault:crash:-1+470.lbm", "__fault:crash:N+real"),
+        ("__fault:crash: 1+470.lbm", "__fault:crash:N+real"),
+        ("__fault:sleep:-1+470.lbm", "__fault:sleep:SECS+real"),
+        ("__fault:sleep:nan+470.lbm", "__fault:sleep:SECS+real"),
+        ("__fault:sleep:inf+470.lbm", "__fault:sleep:SECS+real"),
+        ("__fault:sleep:soon+470.lbm", "__fault:sleep:SECS+real"),
+    ])
+    def test_bad_parameter_rejected_with_grammar(self, name, grammar):
+        with pytest.raises(ValueError) as info:
+            parse_fault(name)
+        assert str(info.value).endswith(grammar)
+        assert repr(name.split(":")[2].split("+")[0]) in str(info.value)
+
+    @pytest.mark.parametrize("name, spec", [
+        ("__fault:flaky:0+470.lbm", FaultSpec("flaky", 0, "470.lbm")),
+        ("__fault:crash:12+470.lbm", FaultSpec("crash", 12, "470.lbm")),
+        ("__fault:sleep:0+470.lbm",
+         FaultSpec("sleep", real_workload="470.lbm")),
+        ("__fault:sleep:0.25+470.lbm",
+         FaultSpec("sleep", real_workload="470.lbm", sleep_seconds=0.25)),
+    ])
+    def test_boundary_parameters_accepted(self, name, spec):
+        assert parse_fault(name) == spec
+
 
 class TestFaultApply:
     def test_raise_always_raises(self):
@@ -73,3 +102,8 @@ class TestFaultWorkload:
             fault_workload("segv")
         with pytest.raises(ValueError):
             fault_workload("flaky", 2)  # missing real workload
+        with pytest.raises(ValueError, match="whole number"):
+            fault_workload("flaky", -2, "470.lbm")
+        with pytest.raises(ValueError, match="finite"):
+            fault_workload("sleep", real_workload="470.lbm",
+                           sleep_seconds=-1.0)

@@ -1,8 +1,8 @@
 """Tests for the persistent work-stealing pool executor.
 
-The spawn executor's semantics are the contract; every scenario here
-checks the pool preserves one of them — results, retries, crash capture,
-timeouts, resume — or exercises the behaviour only the pool has (work
+The inline path's results are the contract; scenarios here check the pool
+matches them — results, retries, crash capture, timeouts, resume in
+either direction — or exercise the behaviour only the pool has (work
 stealing, worker respawn, per-worker trace memo, liveness records).
 Timing-sensitive cases use tiny simulations and sub-second sleeps.
 """
@@ -15,12 +15,10 @@ from repro.campaign import (
     RetryPolicy,
     canonical_records,
     fault_workload,
-    load_campaign_manifest,
     load_worker_records,
     run_campaign,
-    write_campaign_manifest,
 )
-from repro.campaign.pool import DEFAULT_EXECUTOR, EXECUTORS, WorkerTraceMemo
+from repro.campaign.pool import WorkerTraceMemo
 from repro.sim import ExperimentScale
 from repro.sim.batch import run_job
 from repro.sim.serialize import result_to_dict
@@ -49,40 +47,60 @@ def result_dicts(report):
 
 
 class TestExecutorSelection:
-    def test_pool_is_the_default(self):
-        assert DEFAULT_EXECUTOR == "pool"
-        assert DEFAULT_EXECUTOR in EXECUTORS
+    """The inputs alone pick inline or pool; there is nothing to choose."""
 
-    def test_unknown_executor_rejected(self, config):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_campaign([Job("470.lbm")], config, TINY, processes=2,
-                         executor="threads")
+    def test_pool_is_the_default(self, config, tmp_path, monkeypatch):
+        """No ``processes``: one pool worker per CPU, capped at the jobs."""
+        import repro.campaign.engine as engine
 
-    def test_manifest_remembers_executor(self, config, tmp_path):
+        monkeypatch.setattr(engine.multiprocessing, "cpu_count", lambda: 2)
         store = tmp_path / "results.jsonl"
-        path = write_campaign_manifest(store, [Job("470.lbm")], config, TINY,
-                                       machine_preset="scaled",
-                                       executor="spawn")
-        assert load_campaign_manifest(path)["executor"] == "spawn"
+        jobs = [Job("435.gromacs"), Job("453.povray"), Job("444.namd")]
+        report = run_campaign(jobs, config, TINY, store=store)
+        assert report.ok
+        assert len(load_worker_records(store)["workers"]) == 2
+
+    @pytest.mark.parametrize("processes, timeout, pool", [
+        (1, None, False),     # one process, no timeout: inline
+        (1, 30.0, True),      # a timeout needs a killable worker
+    ])
+    def test_inputs_pick_the_path(self, config, tmp_path, processes,
+                                  timeout, pool):
+        store = tmp_path / "results.jsonl"
+        report = run_campaign([Job("435.gromacs"), Job("453.povray")],
+                              config, TINY, processes=processes,
+                              timeout_seconds=timeout, store=store)
+        assert report.ok
+        assert (load_worker_records(store) is not None) == pool
+
+    def test_unknown_executor_rejected(self, config, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(TypeError):
+            run_campaign([Job("470.lbm")], config, TINY, processes=2,
+                         **{"executor": "pool"})
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "run", "--executor", "pool",
+                  "--store", str(tmp_path / "r.jsonl"),
+                  "--workloads", "470.lbm"])
+        assert info.value.code == 2  # argparse: unrecognized arguments
+        assert not (tmp_path / "r.manifest.json").exists()
 
 
 class TestPoolSemantics:
-    def test_pool_matches_spawn_and_inline(self, config):
+    def test_pool_matches_inline(self, config):
         jobs = [Job("435.gromacs"),
                 Job("470.lbm", mode="pinte", p_induce=0.3),
                 Job("470.lbm", mode="pair", co_runner="450.soplex")]
         inline = run_campaign(jobs, config, TINY, processes=1)
-        pool = run_campaign(jobs, config, TINY, processes=3, executor="pool")
-        spawn = run_campaign(jobs, config, TINY, processes=3,
-                             executor="spawn")
+        pool = run_campaign(jobs, config, TINY, processes=3)
         assert result_dicts(inline) == result_dicts(pool)
-        assert result_dicts(pool) == result_dicts(spawn)
-        assert pool.executor == "pool" and spawn.executor == "spawn"
+        assert inline.pool_steals == inline.pool_respawns == 0
 
-    def test_error_capture_matches_spawn(self, config):
+    def test_error_capture(self, config):
         jobs = [Job("435.gromacs"), Job(fault_workload("raise"))]
         report = run_campaign(jobs, config, TINY, processes=2,
-                              retry=NO_RETRY, executor="pool")
+                              retry=NO_RETRY)
         assert report.executed == 1 and report.failed == 1
         [failure] = report.failures
         assert failure.kind == "error"
@@ -104,7 +122,7 @@ class TestWorkStealing:
                 Job("453.povray"),
                 Job("444.namd")]
         report = run_campaign(jobs, config, TINY, processes=2,
-                              retry=NO_RETRY, executor="pool")
+                              retry=NO_RETRY)
         assert report.ok and report.executed == 4
         assert report.pool_steals >= 1
 
@@ -115,7 +133,7 @@ class TestWorkStealing:
                 Job("453.povray"),
                 Job("444.namd")]
         report = run_campaign(jobs, config, TINY, processes=2,
-                              retry=NO_RETRY, executor="pool")
+                              retry=NO_RETRY)
         assert report.executed == 3 and report.failed == 1
         [failure] = report.failures
         assert failure.kind == "crash"
@@ -130,8 +148,7 @@ class TestCrashAndTimeout:
         # A timeout forces subprocess execution even for a single job —
         # inline, the injected os._exit would take the test runner down.
         report = run_campaign([job], config, TINY, processes=2,
-                              retry=FAST_RETRY, timeout_seconds=30.0,
-                              executor="pool")
+                              retry=FAST_RETRY, timeout_seconds=30.0)
         assert report.ok
         assert report.retries == 1
         assert report.pool_respawns >= 1
@@ -141,8 +158,7 @@ class TestCrashAndTimeout:
     def test_timeout_kills_only_the_offender(self, config):
         jobs = [Job("435.gromacs"), Job(fault_workload("hang"))]
         report = run_campaign(jobs, config, TINY, processes=2,
-                              retry=NO_RETRY, timeout_seconds=1.0,
-                              executor="pool")
+                              retry=NO_RETRY, timeout_seconds=1.0)
         assert report.executed == 1 and report.failed == 1
         [failure] = report.failures
         assert failure.kind == "timeout"
@@ -160,7 +176,7 @@ class TestCrashAndTimeout:
         report = run_campaign([job], config, TINY, processes=2,
                               retry=FAST_RETRY, store=store,
                               timeout_seconds=30.0,
-                              telemetry=0.05, executor="pool")
+                              telemetry=0.05)
         assert report.ok
         telemetry = CampaignTelemetry(telemetry_dir_for(store))
         telemetry.poll()
@@ -171,35 +187,41 @@ class TestCrashAndTimeout:
 
 
 class TestCrossExecutorResume:
+    """A shard run on one path resumes on the other; stores match."""
+
     def _check_cross_resume(self, config, tmp_path, first, second):
         jobs = [Job("435.gromacs"), Job("453.povray"), Job("470.lbm"),
                 Job("444.namd")]
         reference = run_campaign(jobs, config, TINY,
                                  store=tmp_path / "ref.jsonl",
-                                 executor=second)
+                                 processes=second)
         store = tmp_path / "results.jsonl"
         partial = run_campaign(jobs, config, TINY, store=store,
-                               shard=(0, 2), executor=first)
+                               shard=(0, 2), processes=first)
+        assert partial.executed == 2
         resumed = run_campaign(jobs, config, TINY, store=store, resume=True,
-                               executor=second)
-        assert resumed.ok
+                               processes=second)
+        assert resumed.ok and reference.ok
         assert resumed.skipped == partial.executed
         assert canonical_records(ResultStore(store).load()) == \
             canonical_records(ResultStore(tmp_path / "ref.jsonl").load())
 
-    def test_pool_store_resumed_by_spawn(self, config, tmp_path):
-        self._check_cross_resume(config, tmp_path, "pool", "spawn")
+    def test_pool_shard_resumed_inline(self, config, tmp_path):
+        self._check_cross_resume(config, tmp_path, first=2, second=1)
+        assert load_worker_records(tmp_path / "results.jsonl") is not None
+        assert load_worker_records(tmp_path / "ref.jsonl") is None
 
-    def test_spawn_store_resumed_by_pool(self, config, tmp_path):
-        self._check_cross_resume(config, tmp_path, "spawn", "pool")
+    def test_inline_shard_resumed_by_pool(self, config, tmp_path):
+        self._check_cross_resume(config, tmp_path, first=1, second=2)
+        assert load_worker_records(tmp_path / "results.jsonl") is not None
+        assert load_worker_records(tmp_path / "ref.jsonl") is not None
 
 
 class TestLiveness:
     def test_worker_records_written_and_stopped(self, config, tmp_path):
         store = tmp_path / "results.jsonl"
         report = run_campaign([Job("435.gromacs"), Job("453.povray")],
-                              config, TINY, processes=2, store=store,
-                              executor="pool")
+                              config, TINY, processes=2, store=store)
         assert report.ok
         document = load_worker_records(store)
         assert document is not None
@@ -218,7 +240,7 @@ class TestWorkerTraceMemo:
         second = memo.get_or_build("470.lbm", config.llc.size, 2_500, 1)
         assert first is second  # memoised object, not a rebuild
         assert memo.hits == 0
-        assert memo.misses == 2  # matches the storeless spawn worker
+        assert memo.misses == 2  # matches a storeless run_job per request
 
     def test_store_backed_memo_hit_counts_as_hit(self, config):
         store = MemoryTraceStore()

@@ -39,4 +39,4 @@ def test_generator_writes_what_check_checks(monkeypatch):
     assert document == committed
     assert document.startswith("# CLI reference")
     assert "## `repro campaign run`" in document
-    assert "--executor" in document
+    assert "--executor" not in document

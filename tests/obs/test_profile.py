@@ -70,15 +70,18 @@ class TestHostIntegration:
         assert "phase_warmup_seconds" in result.extra
 
     def test_batch_runner_emits_job_spans(self, config):
-        from repro.sim.batch import Job, run_batch
+        from repro.campaign import run_campaign
+        from repro.obs import Observation
+        from repro.sim.batch import Job
         from repro.sim.runner import ExperimentScale
 
         scale = ExperimentScale(warmup_instructions=0,
                                 sim_instructions=1_000,
                                 sample_interval=500)
         profiler = PhaseProfiler()
-        results = run_batch([Job("470.lbm"), Job("453.povray")], config,
-                            scale, processes=1, profiler=profiler)
-        assert len(results) == 2
+        report = run_campaign([Job("470.lbm"), Job("453.povray")], config,
+                              scale, processes=1,
+                              observe=Observation(profiler=profiler))
+        assert len(report.results) == 2
         names = [span.name for span in profiler.spans]
         assert names == ["job0:470.lbm", "job1:453.povray"]

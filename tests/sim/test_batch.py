@@ -1,9 +1,10 @@
-"""Tests for the batch runner and job manifests."""
+"""Tests for job manifests and running a batch of jobs as a campaign."""
 
 import pytest
 
+from repro.campaign import run_campaign
 from repro.sim import ExperimentScale
-from repro.sim.batch import Job, campaign_jobs, run_batch, run_job
+from repro.sim.batch import Job, campaign_jobs, run_job
 
 TINY = ExperimentScale(warmup_instructions=500, sim_instructions=2_000,
                        sample_interval=500)
@@ -47,24 +48,30 @@ class TestRunJob:
 
 
 class TestRunBatch:
+    """A job list through :func:`run_campaign`: results in job order."""
+
     def test_inline_order_preserved(self, config):
         jobs = [Job("435.gromacs"), Job("453.povray")]
-        results = run_batch(jobs, config, TINY, processes=1)
+        results = run_campaign(jobs, config, TINY, processes=1).results
         assert [r.trace_name for r in results] == ["435.gromacs",
                                                    "453.povray"]
 
     def test_parallel_matches_inline(self, config):
         jobs = [Job("435.gromacs"),
-                Job("470.lbm", mode="pinte", p_induce=0.3)]
-        inline = run_batch(jobs, config, TINY, processes=1)
-        parallel = run_batch(jobs, config, TINY, processes=2)
+                Job("470.lbm", mode="pinte", p_induce=0.3),
+                Job("453.povray")]
+        inline = run_campaign(jobs, config, TINY, processes=1).results
+        parallel = run_campaign(jobs, config, TINY, processes=2).results
+        assert [r.trace_name for r in parallel] == ["435.gromacs", "470.lbm",
+                                                    "453.povray"]
         for a, b in zip(inline, parallel):
             assert a.trace_name == b.trace_name
             assert a.ipc == b.ipc  # fully deterministic across processes
             assert a.thefts_experienced == b.thefts_experienced
 
     def test_single_job_runs_inline(self, config):
-        results = run_batch([Job("435.gromacs")], config, TINY, processes=8)
+        results = run_campaign([Job("435.gromacs")], config, TINY,
+                               processes=8).results
         assert len(results) == 1
 
 

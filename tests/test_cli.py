@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.campaign import ResultStore
 from repro.cli import build_parser, main
 from repro.trace import read_trace
 
@@ -391,14 +392,54 @@ class TestCampaignCommands:
         with pytest.raises(SystemExit, match="empty"):
             main(["campaign", "status", str(store)])
 
-    def test_executor_recorded_and_selectable(self, tmp_path, capsys):
+    def test_legacy_executor_manifest_resumes(self, tmp_path, capsys):
+        """Older manifests recorded an executor; resume ignores the key."""
         store = self._store(tmp_path)
         assert main(["campaign", "run", "--store", store,
                      "--workloads", "435.gromacs", "453.povray",
-                     "--executor", "spawn", "--processes", "2"]
+                     "--shard", "0/2", "--processes", "2"]
                     + self.ARGS) == 0
-        manifest = json.loads((tmp_path / "results.manifest.json").read_text())
-        assert manifest["executor"] == "spawn"
+        manifest_path = tmp_path / "results.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "executor" not in manifest
+        manifest["executor"] = 'spawn'  # a value older versions wrote
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["campaign", "resume", store, "--processes", "2",
+                     "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "campaign summary" in out
+        contents = ResultStore(store).load()
+        assert len(contents.results) == 2 and not contents.failures
+
+    @pytest.mark.parametrize("limits, message", [
+        (["--timeout", "0", "--processes", "2"],
+         "repro: timeout must be > 0 seconds, got 0.0"),
+        (["--processes", "-3"], "repro: processes must be >= 1, got -3"),
+        (["--processes", "0", "--timeout", "-1"],
+         "repro: processes must be >= 1, got 0; "
+         "timeout must be > 0 seconds, got -1.0"),
+    ])
+    def test_bad_limits_are_one_line_errors(self, tmp_path, limits,
+                                            message):
+        store = self._store(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "run", "--store", store,
+                  "--workloads", "435.gromacs", "453.povray"]
+                 + limits + self.ARGS)
+        assert str(info.value.code) == message
+        assert not (tmp_path / "results.jsonl").exists()
+        assert not (tmp_path / "results.manifest.json").exists()
+
+    def test_bad_limits_on_resume_are_one_line_errors(self, tmp_path,
+                                                     capsys):
+        store = self._store(tmp_path)
+        assert main(["campaign", "run", "--store", store,
+                     "--workloads", "435.gromacs", "--processes", "1"]
+                    + self.ARGS) == 0
+        with pytest.raises(SystemExit,
+                           match="^repro: processes must be >= 1, got 0$"):
+            main(["campaign", "resume", store, "--processes", "0"])
 
 
 class TestArtifactCommands:
