@@ -78,12 +78,12 @@ def test_record_telemetry_overhead(timings, write_report, bench_config,
     jobs = [Job("470.lbm"), Job("605.mcf")]
 
     start = time.perf_counter()
-    run_campaign(jobs, bench_config, SCALE, processes=0, store=store)
+    run_campaign(jobs, bench_config, SCALE, processes=1, store=store)
     off_wall = time.perf_counter() - start
 
     on_store = store.with_name("on.jsonl")
     start = time.perf_counter()
-    run_campaign(jobs, bench_config, SCALE, processes=0, store=on_store,
+    run_campaign(jobs, bench_config, SCALE, processes=1, store=on_store,
                  telemetry=0.01)
     on_wall = time.perf_counter() - start
 
@@ -113,7 +113,7 @@ def test_telemetry_off_campaign_leaves_no_artifacts(bench_config,
     """Off means off: no spool directory, no sampler threads."""
     store = tmp_path_factory.mktemp("telemetry-off") / "results.jsonl"
     threads_before = threading.active_count()
-    report = run_campaign([JOB], bench_config, SCALE, processes=0,
+    report = run_campaign([JOB], bench_config, SCALE, processes=1,
                           store=store)
     assert report.ok
     assert report.telemetry is None
