@@ -1,17 +1,23 @@
 """Pinned Python-call budget of the timing hosts, per simulated instruction.
 
-Runs two small fixed calls under the stdlib ``cProfile``:
+Runs three small fixed calls under the stdlib ``cProfile``:
 
 * ``pair``: ``simulate_pair(470.lbm, 450.soplex)``, the 2nd-Trace host
   (two cores, the multicore scheduler, natural thefts);
 * ``pinte``: ``simulate(470.lbm, pinte=PinteConfig(0.1))``, the PInTE host;
+* ``pinte-events``: the same ``pinte`` run with event tracing on
+  (``observe=Observation.with_events()``), which also pins the number of
+  events it records;
 
 and counts the calls of Python functions defined in the ``repro`` package,
 folded into the layers of ``perfbench/layers.py``. A ``repro`` module in no
 layer (``util/``, ``prefetch/``, ...) counts as ``other``. Comprehension
 frames (``<listcomp>``, ``<dictcomp>``, ``<setcomp>``) are left out: Python
 3.12 inlines them, so the counts agree on 3.10-3.12. Built-ins are not
-counted. The simulation is deterministic, so the counts are exact;
+counted. ``pair`` and ``pinte`` run with observation off, so their counts
+are the cost of the hooks when nothing observes; ``pinte-events`` minus
+``pinte`` is the cost of tracing. The simulation is deterministic, so the
+counts are exact;
 ``tests/sim/test_frame_budget.py`` pins them against
 ``tests/golden/frame_budget.json``.
 
@@ -36,11 +42,12 @@ import os
 import pstats
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 import repro
 from repro.config import scaled_config
 from repro.core import PinteConfig
+from repro.obs import Observation
 from repro.sim.multicore import simulate_pair
 from repro.sim.simulator import simulate
 from repro.trace import build_trace, get_workload
@@ -76,25 +83,33 @@ def _pair(config):
                           config.llc.size)
     secondary = build_trace(get_workload("450.soplex"), PAIR_INSTRUCTIONS,
                             SEED + 1, config.llc.size)
-    return lambda: simulate_pair(primary, secondary, config,
-                                 sim_instructions=PAIR_INSTRUCTIONS,
-                                 seed=SEED, return_secondary=True)
+    return (lambda: simulate_pair(primary, secondary, config,
+                                  sim_instructions=PAIR_INSTRUCTIONS,
+                                  seed=SEED, return_secondary=True)), None
 
 
-def _pinte(config):
+def _pinte(config, observe: Optional[Observation] = None):
     trace = build_trace(get_workload("470.lbm"), PINTE_INSTRUCTIONS, SEED,
                         config.llc.size)
-    return lambda: simulate(trace, config, pinte=PinteConfig(0.1, seed=SEED),
-                            sim_instructions=PINTE_INSTRUCTIONS, seed=SEED)
+    return (lambda: simulate(trace, config, pinte=PinteConfig(0.1, seed=SEED),
+                             sim_instructions=PINTE_INSTRUCTIONS, seed=SEED,
+                             observe=observe)), observe
 
 
-WORKLOADS = {"pair": _pair, "pinte": _pinte}
+def _pinte_events(config):
+    return _pinte(config, Observation.with_events())
+
+
+#: Each factory returns the call to profile and the observation it
+#: records into (None when observation is off).
+WORKLOADS = {"pair": _pair, "pinte": _pinte, "pinte-events": _pinte_events}
 
 
 def measure(name: str) -> Dict[str, object]:
-    """One workload's instructions (all cores) and ``repro`` calls per
-    layer, from a fresh profiled call."""
-    call = WORKLOADS[name](scaled_config())
+    """One workload's instructions (all cores), ``repro`` calls per layer
+    and, when it traces events, the events recorded, from a fresh profiled
+    call."""
+    call, observe = WORKLOADS[name](scaled_config())
     profiler = cProfile.Profile()
     profiler.enable()
     result = call()
@@ -109,7 +124,11 @@ def measure(name: str) -> Dict[str, object]:
         calls[layer] = calls.get(layer, 0) + ncalls
     instructions = result.instructions + int(
         result.extra.get("secondary_instructions", 0))
-    return {"instructions": instructions, "calls": dict(sorted(calls.items()))}
+    counts = {"instructions": instructions,
+              "calls": dict(sorted(calls.items()))}
+    if observe is not None:
+        counts["events"] = observe.events.recorded
+    return counts
 
 
 def measure_all() -> Dict[str, Dict[str, object]]:
@@ -132,6 +151,11 @@ def _report(measured, pinned) -> bool:
     for name, counts in measured.items():
         reference = pinned.get(name)
         print(f"{name}: {counts['instructions']} instructions")
+        if "events" in counts:
+            before_events = (reference or {}).get("events")
+            mark = "" if counts["events"] == before_events else "  (changed)"
+            print(f"  {'events':12s} {counts['events']:8d} recorded"
+                  f"  pinned {before_events}{mark}")
         now = per_instruction(counts)
         before = per_instruction(reference) if reference else {}
         for layer in sorted(set(now) | set(before)):

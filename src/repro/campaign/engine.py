@@ -544,7 +544,9 @@ def run_campaign(
     wall_start = time.perf_counter()
     check_limits(processes, timeout_seconds)
     retry = retry if retry is not None else RetryPolicy()
-    telemetry_settings = TelemetrySettings.coerce(telemetry)
+    # Off stays off: no call into the telemetry module at all.
+    telemetry_settings = (None if telemetry is None
+                          else TelemetrySettings.coerce(telemetry))
     if telemetry_settings is not None and store is None:
         raise ValueError("telemetry needs a result store — the spool "
                          "directory lives next to it")

@@ -34,12 +34,6 @@ Commands:
 * ``reproduce`` — plan/execute/render every paper artifact; with
   ``--store`` the campaign persists and ``--resume`` finishes an
   interrupted reproduction without re-running stored jobs.
-* ``bench`` — hot-path throughput microbenchmarks (``--suite datapath``
-  vs the committed seed baseline; ``--suite trace`` columnar vs
-  object-list trace generation/load; ``--suite reproduce`` quick-suite
-  reproduction wall-clock and job dedup); ``--baseline
-  BENCH_*.json --check`` runs the regression gate against a committed
-  baseline (``--report-only`` prints verdicts without failing).
 
 Every command prints plain text and returns a process exit code, so the CLI
 is scriptable; all functions are also unit-testable by calling
@@ -492,200 +486,6 @@ def cmd_artifact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_trace(args: argparse.Namespace) -> int:
-    """``repro bench --suite trace`` — trace generation/load throughput."""
-    import json
-
-    from repro.bench.trace import run_trace_bench, write_record
-
-    result = run_trace_bench(repeats=args.repeats, scale=args.scale)
-    rows = [
-        ("generate, object list (records/s)",
-         f"{result.generate_objects_records_per_sec:,.0f}"),
-        ("generate, columnar (records/s)",
-         f"{result.generate_packed_records_per_sec:,.0f}"),
-        ("load PNTR1 (records/s)", f"{result.load_v1_records_per_sec:,.0f}"),
-        ("load PNTR2 (records/s)", f"{result.load_v2_records_per_sec:,.0f}"),
-    ]
-    rows.extend(
-        (f"speedup columnar: {metric}", f"{ratio:.3f}x")
-        for metric, ratio in sorted(result.speedups().items())
-    )
-    print(format_table(
-        ["Metric", "Value"], rows,
-        title=f"trace-tier microbenchmark (best of {result.repeats}, "
-              f"scale {args.scale:g})",
-    ))
-    if args.no_record:
-        print(json.dumps(
-            {k: v for k, v in vars(result).items()}, indent=1, sort_keys=True))
-    else:
-        document = write_record(result)
-        print(f"appended run #{len(document['runs'])} to "
-              "benchmarks/reports/BENCH_trace.json")
-    return 0
-
-
-def _bench_reproduce(args: argparse.Namespace) -> int:
-    """``repro bench --suite reproduce`` — reproduction planning/dedup."""
-    import json
-
-    from repro.bench.reproduce import run_reproduce_bench, write_record
-
-    result = run_reproduce_bench(repeats=args.repeats, scale=args.scale)
-    rows = [
-        ("quick-suite reproduce wall (s)",
-         f"{result.reproduce_seconds:.3f}"),
-        ("bundle: planned jobs", result.bundle_planned_jobs),
-        ("bundle: executed jobs", result.bundle_unique_jobs),
-        ("bundle: dedup ratio", f"{result.bundle_dedup_ratio:.3f}x"),
-        ("all artifacts: planned jobs", result.full_planned_jobs),
-        ("all artifacts: executed jobs", result.full_unique_jobs),
-        ("all artifacts: dedup ratio", f"{result.full_dedup_ratio:.3f}x"),
-    ]
-    print(format_table(
-        ["Metric", "Value"], rows,
-        title=f"reproduce benchmark (best of {result.repeats}, "
-              f"scale {args.scale:g})",
-    ))
-    if args.no_record:
-        print(json.dumps(
-            {k: v for k, v in vars(result).items()}, indent=1, sort_keys=True))
-    else:
-        document = write_record(result)
-        print(f"appended run #{len(document['runs'])} to "
-              "benchmarks/reports/BENCH_reproduce.json")
-    return 0
-
-
-def _bench_session(args: argparse.Namespace) -> int:
-    """``repro bench --suite session`` — session-layer throughput."""
-    import json
-
-    from repro.bench.session import (
-        load_datapath_reference,
-        run_session_bench,
-        write_record,
-    )
-
-    result = run_session_bench(repeats=args.repeats, scale=args.scale)
-    rows = [
-        ("fastcache (records/s)", f"{result.fastcache_records_per_sec:,.0f}"),
-        ("fastcache + PInTE (records/s)",
-         f"{result.fastcache_pinte_records_per_sec:,.0f}"),
-        ("simulate (instr/s)", f"{result.simulate_instructions_per_sec:,.0f}"),
-        ("simulate + PInTE (instr/s)",
-         f"{result.simulate_pinte_instructions_per_sec:,.0f}"),
-        ("2-core batched (instr/s)",
-         f"{result.multicore_instructions_per_sec:,.0f}"),
-        ("hybrid pair + PInTE (instr/s)",
-         f"{result.hybrid_instructions_per_sec:,.0f}"),
-        ("blocked/stepwise speedup", f"{result.blocked_speedup_ratio:.2f}x"),
-    ]
-    datapath = load_datapath_reference()
-    if datapath is not None:
-        for name, label in (
-                ("fastcache_records_per_sec", "fastcache"),
-                ("fastcache_pinte_records_per_sec", "fastcache_pinte"),
-                ("simulate_instructions_per_sec", "simulate"),
-                ("simulate_pinte_instructions_per_sec", "simulate_pinte")):
-            ratio = getattr(result, name) / datapath[name]
-            rows.append((f"vs datapath floor: {label}", f"{ratio:.3f}x"))
-    print(format_table(
-        ["Metric", "Value"], rows,
-        title=f"session-layer microbenchmark (best of {result.repeats}, "
-              f"scale {args.scale:g})",
-    ))
-    if args.no_record:
-        print(json.dumps(
-            {k: v for k, v in vars(result).items()}, indent=1, sort_keys=True))
-    else:
-        document = write_record(result)
-        print(f"appended run #{len(document['runs'])} to "
-              "benchmarks/reports/BENCH_session.json")
-    return 0
-
-
-def _bench_gate(args: argparse.Namespace) -> int:
-    """``repro bench --baseline FILE [--check]`` — the regression gate."""
-    from repro.bench.gate import run_gate
-
-    report = run_gate(args.baseline, tolerance=args.tolerance,
-                      repeats=args.repeats, scale=args.scale,
-                      suite=args.suite)
-    rows = [
-        (check.name, f"{check.reference:,.2f}", f"{check.measured:,.2f}",
-         f"{check.change:+.1%}", "REGRESSED" if check.regressed else "ok")
-        for check in report.checks
-    ]
-    print(format_table(
-        ["Metric", "Baseline", "Measured", "Change", "Verdict"], rows,
-        title=f"bench gate: suite {report.suite!r} vs "
-              f"{report.baseline_path.name} "
-              f"(tolerance {report.tolerance:.0%})"))
-    for name in report.missing:
-        print(f"  note: baseline metric {name!r} not produced by this run")
-    if report.regressions:
-        names = ", ".join(check.name for check in report.regressions)
-        enforce = args.check and not args.report_only
-        print(f"REGRESSION{'' if enforce else ' (report-only)'}: {names}")
-        return 1 if enforce else 0
-    print("gate passed: no metric regressed beyond tolerance")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench`` — hot-path throughput microbenchmarks."""
-    import json
-
-    from repro.bench.datapath import (
-        load_baseline,
-        run_datapath_bench,
-        write_record,
-    )
-
-    if args.repeats < 1:
-        raise SystemExit("bench: --repeats must be >= 1")
-    if args.baseline:
-        return _bench_gate(args)
-    if args.check or args.report_only:
-        raise SystemExit("bench: --check/--report-only need --baseline")
-    if args.suite == "trace":
-        return _bench_trace(args)
-    if args.suite == "reproduce":
-        return _bench_reproduce(args)
-    if args.suite == "session":
-        return _bench_session(args)
-    result = run_datapath_bench(repeats=args.repeats, scale=args.scale)
-    rows = [
-        ("fastcache (records/s)", f"{result.fastcache_records_per_sec:,.0f}"),
-        ("fastcache + PInTE (records/s)",
-         f"{result.fastcache_pinte_records_per_sec:,.0f}"),
-        ("simulate (instr/s)", f"{result.simulate_instructions_per_sec:,.0f}"),
-        ("simulate + PInTE (instr/s)",
-         f"{result.simulate_pinte_instructions_per_sec:,.0f}"),
-    ]
-    baseline = load_baseline()
-    if baseline is not None:
-        rows.extend(
-            (f"speedup vs seed: {metric}", f"{ratio:.3f}x")
-            for metric, ratio in sorted(result.speedup_over(baseline).items())
-        )
-    print(format_table(
-        ["Metric", "Value"], rows,
-        title=f"data-path microbenchmark (best of {result.repeats}, "
-              f"scale {args.scale:g})",
-    ))
-    if args.no_record:
-        print(json.dumps(
-            {k: v for k, v in vars(result).items()}, indent=1, sort_keys=True))
-    else:
-        document = write_record(result)
-        print(f"appended run #{len(document['runs'])} to "
-              "benchmarks/reports/BENCH_datapath.json")
-    return 0
-
-
 def cmd_components(args: argparse.Namespace) -> int:
     """``repro components ls`` — every registered component + capabilities."""
     rows = []
@@ -1087,9 +887,9 @@ def cmd_trace_build(args: argparse.Namespace) -> int:
     config = _resolve_machine(args)
     workload = get_workload(args.workload)
     trace = build_trace(workload, args.length, args.seed, config.llc.size)
-    count = write_trace(trace, args.output, version=args.format)
+    count = write_trace(trace, args.output)
     print(f"wrote {count} records for {args.workload} to {args.output} "
-          f"(PNTR{args.format})")
+          "(PNTR2)")
     return 0
 
 
@@ -1451,38 +1251,6 @@ def build_parser() -> argparse.ArgumentParser:
     f_diff.add_argument("b", help="registry name or TOML file")
     f_diff.set_defaults(func=cmd_config_diff)
 
-    p_bench = sub.add_parser("bench",
-                             help="hot-path throughput microbenchmarks")
-    p_bench.add_argument("--suite",
-                         choices=("datapath", "trace", "reproduce",
-                                  "session"),
-                         default=None,
-                         help="which microbenchmark to run (default: "
-                              "datapath; with --baseline, the suite the "
-                              "BENCH file's name implies)")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="best-of-N timing runs (default: 3)")
-    p_bench.add_argument("--scale", type=float, default=1.0,
-                         help="workload scale factor (default: 1.0)")
-    p_bench.add_argument("--baseline", default=None, metavar="BENCH_JSON",
-                         help="regression gate: re-run the suite this "
-                              "BENCH_<suite>.json records and compare "
-                              "against its 'current' entry")
-    p_bench.add_argument("--check", action="store_true",
-                         help="with --baseline: exit 1 when any metric "
-                              "regressed beyond --tolerance")
-    p_bench.add_argument("--report-only", action="store_true",
-                         help="with --baseline: print the comparison but "
-                              "always exit 0 (noisy shared CI runners)")
-    p_bench.add_argument("--tolerance", type=float, default=0.30,
-                         metavar="FRAC",
-                         help="allowed fractional regression before the "
-                              "gate trips (default: 0.30)")
-    p_bench.add_argument("--no-record", action="store_true",
-                         help="print the JSON record instead of appending it "
-                              "to the benchmarks/reports/ bench file")
-    p_bench.set_defaults(func=cmd_bench)
-
     p_trace = sub.add_parser(
         "trace", help="trace files and the shared on-disk trace store")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
@@ -1495,13 +1263,10 @@ def build_parser() -> argparse.ArgumentParser:
     t_build.add_argument("--machine", default="scaled",
                          help="named machine config (default: scaled)")
     t_build.add_argument("--seed", type=int, default=1)
-    t_build.add_argument("--format", type=int, default=2, choices=(1, 2),
-                         help="on-disk format: 2=columnar PNTR2 (default), "
-                              "1=legacy PNTR1")
     t_build.set_defaults(func=cmd_trace_build)
 
     t_info = trace_sub.add_parser("info", help="summarise a trace file")
-    t_info.add_argument("path", help="trace file (.trace.gz, any version)")
+    t_info.add_argument("path", help="trace file (.trace.gz)")
     t_info.set_defaults(func=cmd_trace_info)
 
     t_cache = trace_sub.add_parser(

@@ -162,9 +162,6 @@ def observation_events(observe) -> Optional[EventTrace]:
     then the module-level globally-enabled trace (:data:`ACTIVE`), then
     ``None`` — tracing fully off. ``observe`` may be ``None`` or any object
     with an ``events`` attribute (normally a :class:`repro.obs.Observation`).
-
-    This is the public home of what every host used to reach via the private
-    ``repro.sim.simulator._observation_events`` helper.
     """
     if observe is not None and getattr(observe, "events", None) is not None:
         return observe.events

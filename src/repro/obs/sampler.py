@@ -1,10 +1,10 @@
 """Interval sampling, shared by every timing host.
 
-Historically the single-core and multi-programmed hosts each carried a
-``_Sampler``; this module is the single implementation both now use. The
-*host* owns the sampling cadence: it calls :meth:`IntervalSampler.sample`
-exactly once per elapsed interval of retired instructions, then
-:meth:`IntervalSampler.finalize` once at the end of the measured region.
+The single-core and multi-programmed hosts both use this one
+implementation. The *host* owns the sampling cadence: it calls
+:meth:`IntervalSampler.sample` exactly once per elapsed interval of retired
+instructions, then :meth:`IntervalSampler.finalize` once at the end of the
+measured region.
 
 ``finalize`` fixes a long-standing tail-loss bug: runs whose length is not
 a multiple of ``sample_interval`` used to silently drop the trailing

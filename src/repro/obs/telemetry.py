@@ -1,12 +1,15 @@
 """Cross-process campaign telemetry: spool, tail, fold.
 
-The campaign engine runs every job in its own worker process, which makes
-each job's :class:`~repro.obs.registry.MetricRegistry`,
-:class:`~repro.obs.profile.PhaseProfiler` spans and resource usage
-invisible to the parent until the job exits. This module is the bus that
-carries them home **while the job runs**:
+The campaign engine runs a job either inline in the campaign's own
+process or on one of a pool of persistent worker processes, each of which
+runs many jobs. A pooled job's
+:class:`~repro.obs.registry.MetricRegistry`,
+:class:`~repro.obs.profile.PhaseProfiler` spans and resource usage are
+invisible to the parent until its result comes back. This module is the
+bus that carries them home **while the job runs**, the same way on either
+path:
 
-* **worker side** — a :class:`TelemetrySpooler` appends self-describing
+* **job side** — a :class:`TelemetrySpooler` appends self-describing
   JSONL records to a per-job spool file under the campaign store
   directory: a ``start`` record at launch, periodic ``res`` resource
   samples (:mod:`repro.obs.resources`), incremental ``delta`` registry

@@ -19,8 +19,7 @@ from typing import Optional
 
 from repro.config import MachineConfig
 from repro.core import PinteConfig
-from repro.obs import Observation, observation_events
-from repro.obs.sampler import IntervalSampler
+from repro.obs import Observation
 from repro.sim.results import SimulationResult
 from repro.sim.session import (
     DEFAULT_SAMPLE_INTERVAL,
@@ -29,20 +28,10 @@ from repro.sim.session import (
     drive,
     finalise_result,
     finish,
-    reset_stats,
 )
 from repro.trace.packed import as_packed
 
 __all__ = ["DEFAULT_SAMPLE_INTERVAL", "simulate"]
-
-#: Backwards-compatible aliases: these helpers now live in
-#: :mod:`repro.sim.session` (shared by every host) and
-#: :mod:`repro.obs.events` (the public ``observation_events``); the old
-#: private names keep working for existing imports.
-_Sampler = IntervalSampler
-_observation_events = observation_events
-_reset_stats = reset_stats
-_finalise = finalise_result
 
 
 def simulate(

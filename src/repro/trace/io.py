@@ -1,21 +1,17 @@
 """Trace (de)serialisation.
 
-Compact binary formats, gzip-compressed, in the spirit of ChampSim's
-``.trace.gz`` files. Two format versions exist:
+A compact binary format, gzip-compressed, in the spirit of ChampSim's
+``.trace.gz`` files. ``PNTR2`` is columnar: after the header, the whole
+trace is four contiguous little-endian column blocks — pcs, loads, stores
+(8 bytes per record each) and flags (1 byte per record) — written/read
+with bulk ``tobytes``/``frombytes`` transfers straight from
+:class:`~repro.trace.packed.PackedTrace` columns. No per-record packing.
 
-* ``PNTR2`` (current, columnar): after the header, the whole trace is four
-  contiguous little-endian column blocks — pcs, loads, stores (8 bytes per
-  record each) and flags (1 byte per record) — written/read with bulk
-  ``tobytes``/``frombytes`` transfers straight from
-  :class:`~repro.trace.packed.PackedTrace` columns. No per-record packing.
-* ``PNTR1`` (legacy, record-interleaved): one fixed-size ``<QQQB`` struct
-  per instruction. Still fully readable (and writable via ``version=1``)
-  so existing trace files keep working.
-
-Both versions share the same flag-byte encoding (bit0=branch, bit1=taken,
-bit2=dependent, bit3=has_load, bit4=has_store — the
-:mod:`repro.trace.packed` ``FLAG_*`` constants), and both preserve the
-``None``-vs-``0`` address distinction via the has_load/has_store bits.
+The flag byte uses the :mod:`repro.trace.packed` ``FLAG_*`` encoding
+(bit0=branch, bit1=taken, bit2=dependent, bit3=has_load, bit4=has_store),
+so the has_load/has_store bits preserve the ``None``-vs-``0`` address
+distinction. The legacy record-interleaved ``PNTR1`` format is no longer
+read; regenerate such files with ``repro trace build``.
 """
 
 from __future__ import annotations
@@ -27,27 +23,12 @@ from array import array
 from pathlib import Path
 from typing import Iterable, Union
 
-from repro.trace.packed import (
-    FLAG_BRANCH,
-    FLAG_DEPENDENT,
-    FLAG_HAS_LOAD,
-    FLAG_HAS_STORE,
-    FLAG_TAKEN,
-    PackedTrace,
-    as_packed,
-)
+from repro.trace.packed import PackedTrace, as_packed
 from repro.trace.record import Trace, TraceRecord
 
-#: pc, load_addr, store_addr, flags — the legacy per-record layout.
-_RECORD = struct.Struct("<QQQB")
-_FLAG_BRANCH = FLAG_BRANCH
-_FLAG_TAKEN = FLAG_TAKEN
-_FLAG_DEPENDENT = FLAG_DEPENDENT
-_FLAG_HAS_LOAD = FLAG_HAS_LOAD
-_FLAG_HAS_STORE = FLAG_HAS_STORE
-
-MAGIC = b"PNTR1\n"
-MAGIC_V2 = b"PNTR2\n"
+MAGIC = b"PNTR2\n"
+#: The retired record-interleaved format, recognised only to refuse it.
+_LEGACY_MAGIC = b"PNTR1\n"
 
 #: Current on-disk format version (what :func:`write_trace` emits).
 FORMAT_VERSION = 2
@@ -74,34 +55,19 @@ def _read_exact(fh, n_bytes: int, path: Path, what: str) -> bytes:
     return raw
 
 
-def write_trace(trace: TraceLike, path: Union[str, Path], name: str = "",
-                version: int = FORMAT_VERSION) -> int:
-    """Write a trace to ``path``; returns the number of records written.
+def write_trace(trace: TraceLike, path: Union[str, Path],
+                name: str = "") -> int:
+    """Write a trace to ``path`` as ``PNTR2``; returns the record count.
 
     Accepts a :class:`Trace`, a :class:`PackedTrace`, or any iterable of
-    :class:`TraceRecord`. ``version=2`` (the default) writes the columnar
-    ``PNTR2`` block format; ``version=1`` writes the legacy per-record
-    ``PNTR1`` layout for tooling that still expects it.
+    :class:`TraceRecord`.
     """
-    if version not in (1, 2):
-        raise ValueError(f"unknown trace format version {version}")
     packed = as_packed(trace, name=name)
     name = name or packed.name
     name_bytes = name.encode("utf-8")
     count = len(packed)
     with gzip.open(Path(path), "wb") as fh:
-        if version == 1:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<H", len(name_bytes)))
-            fh.write(name_bytes)
-            pack = _RECORD.pack
-            pcs, loads, stores, flags = (packed.pcs, packed.loads,
-                                         packed.stores, packed.flags)
-            for index in range(count):
-                fh.write(pack(pcs[index], loads[index], stores[index],
-                              flags[index]))
-            return count
-        fh.write(MAGIC_V2)
+        fh.write(MAGIC)
         fh.write(struct.pack("<H", len(name_bytes)))
         fh.write(name_bytes)
         fh.write(struct.pack("<Q", count))
@@ -112,30 +78,7 @@ def write_trace(trace: TraceLike, path: Union[str, Path], name: str = "",
     return count
 
 
-def _read_v1(fh, path: Path) -> PackedTrace:
-    """Parse the legacy per-record body into columns."""
-    packed = PackedTrace()
-    pcs_append = packed.pcs.append
-    loads_append = packed.loads.append
-    stores_append = packed.stores.append
-    flags_append = packed.flags.append
-    unpack = _RECORD.unpack
-    record_size = _RECORD.size
-    while True:
-        raw = fh.read(record_size)
-        if not raw:
-            break
-        if len(raw) != record_size:
-            raise ValueError(f"{path}: truncated record at offset {fh.tell()}")
-        pc, load, store, flags = unpack(raw)
-        pcs_append(pc)
-        loads_append(load)
-        stores_append(store)
-        flags_append(flags)
-    return packed
-
-
-def _read_v2(fh, path: Path) -> PackedTrace:
+def _read_columns(fh, path: Path) -> PackedTrace:
     """Bulk-read the four column blocks."""
     (count,) = struct.unpack("<Q", _read_exact(fh, 8, path, "record count"))
     columns = []
@@ -152,22 +95,24 @@ def _read_v2(fh, path: Path) -> PackedTrace:
 
 
 def read_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace previously written by :func:`write_trace` (any version).
+    """Read a trace previously written by :func:`write_trace`.
 
     The returned :class:`Trace` is backed by a :class:`PackedTrace`;
-    ``.records`` materialises record objects on demand. Legacy ``PNTR1``
-    files produce byte-identical columns to the ``PNTR2`` rewrite of the
-    same stream.
+    ``.records`` materialises record objects on demand.
     """
     path = Path(path)
     with gzip.open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
-        if magic not in (MAGIC, MAGIC_V2):
+        if magic == _LEGACY_MAGIC:
+            raise ValueError(
+                f"{path}: legacy PNTR1 trace format is no longer read; "
+                "regenerate the file with `repro trace build`")
+        if magic != MAGIC:
             raise ValueError(
                 f"{path}: not a PInTE trace file (bad magic {magic!r})")
         (name_len,) = struct.unpack(
             "<H", _read_exact(fh, 2, path, "name length"))
         name = _read_exact(fh, name_len, path, "name").decode("utf-8")
-        packed = _read_v2(fh, path) if magic == MAGIC_V2 else _read_v1(fh, path)
+        packed = _read_columns(fh, path)
     packed.name = name or path.stem
     return Trace.from_packed(packed)

@@ -5,8 +5,15 @@ simulations and aggressive backoffs so the whole module stays in the
 seconds range.
 """
 
+import cProfile
+import os
+import pstats
+import threading
+
 import pytest
 
+import repro.obs.resources
+import repro.obs.telemetry
 from repro.campaign import (
     CampaignError,
     CampaignLimitError,
@@ -16,6 +23,7 @@ from repro.campaign import (
     campaign_jobs,
     fault_workload,
     run_campaign,
+    telemetry_dir_for,
 )
 from repro.campaign.ids import job_id
 from repro.sim import ExperimentScale
@@ -335,3 +343,36 @@ class TestObservability:
         assert registry.value("campaign.retry") == 2
         assert registry.value("campaign.jobs_total") == 2
         assert registry.value("campaign.wall_seconds") > 0
+
+
+class TestTelemetryOff:
+    """An unobserved campaign pays nothing for the telemetry bus."""
+
+    def test_telemetry_off_campaign_leaves_no_artifacts(self, config,
+                                                        tmp_path):
+        store = tmp_path / "results.jsonl"
+        threads_before = threading.active_count()
+        report = run_campaign([Job("470.lbm")], config, TINY, processes=1,
+                              store=store)
+        assert report.ok
+        assert report.telemetry is None
+        assert report.telemetry_dir is None
+        assert not telemetry_dir_for(store).exists()
+        assert threading.active_count() == threads_before
+
+    def test_telemetry_off_campaign_makes_no_telemetry_calls(self, config,
+                                                             tmp_path):
+        bus_modules = {os.path.realpath(module.__file__) for module in
+                       (repro.obs.telemetry, repro.obs.resources)}
+        profiler = cProfile.Profile()
+        profiler.enable()
+        report = run_campaign([Job("470.lbm")], config, TINY, processes=1,
+                              store=tmp_path / "results.jsonl",
+                              telemetry=None)
+        profiler.disable()
+        assert report.ok
+        bus_calls = {f"{function}:{line}": calls
+                     for (filename, line, function), (_cc, calls, *_rest)
+                     in pstats.Stats(profiler).stats.items()
+                     if os.path.realpath(filename) in bus_modules}
+        assert bus_calls == {}

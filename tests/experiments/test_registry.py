@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.core import PAPER_PINDUCE_SWEEP
 from repro.experiments import (
     contexts,
     fig3,
@@ -26,6 +27,8 @@ from repro.experiments.registry import (
     plan_union,
     register,
 )
+from repro.experiments.reproduce import BUNDLE_ARTIFACTS
+from repro.experiments.suites import QUICK_SUITE
 from repro.sim import ExperimentScale
 from repro.sim.batch import Job
 
@@ -145,6 +148,24 @@ class TestUnionPlan:
         # 450.soplex's isolation job is planned by both artifacts but
         # executes once.
         assert plan.planned_total == plan.unique_total + 1
+
+    def test_quick_suite_union_counts_pinned(self, config):
+        """Planned and unique job counts of the quick-suite reproduction
+        (the 12-point sweep thinned to every fourth value, panel 2, seed
+        3): the bundle shares one campaign eightfold and the full
+        thirteen-artifact registry still nearly halves its jobs."""
+        scale = ExperimentScale(warmup_instructions=1_000,
+                                sim_instructions=4_000, sample_interval=400,
+                                seed=3)
+        ctx = PlanContext(config=config, scale=scale,
+                          suite=tuple(QUICK_SUITE),
+                          p_values=PAPER_PINDUCE_SWEEP[::4], panel_size=2)
+        bundle = plan_union(list(BUNDLE_ARTIFACTS), ctx)
+        assert (bundle.planned_total, bundle.unique_total) == (288, 36)
+        assert bundle.dedup_ratio == pytest.approx(8.0)
+        full = plan_union(artifact_names(), ctx)
+        assert (full.planned_total, full.unique_total) == (667, 350)
+        assert full.dedup_ratio == pytest.approx(667 / 350)
 
     def test_empty_plan_ratio_is_one(self):
         from repro.experiments.registry import UnionPlan

@@ -5,7 +5,9 @@ import pytest
 from repro.cache.hierarchy import MemoryHierarchy, build_llc
 from repro.core import ContentionTracker
 from repro.cpu import Core
-from repro.sim.simulator import _Sampler, _reset_stats, simulate
+from repro.obs import IntervalSampler
+from repro.sim.session import reset_stats
+from repro.sim.simulator import simulate
 from repro.trace import Trace, TraceRecord, build_trace, get_workload
 
 
@@ -25,7 +27,7 @@ class TestSampler:
         # The sampler never second-guesses the host — even a short interval
         # worth of work produces a sample when the host asks for one.
         core, hierarchy, llc, tracker = make_rig(config)
-        sampler = _Sampler(core, llc, 0, tracker, interval=1_000)
+        sampler = IntervalSampler(core, llc, 0, tracker, interval=1_000)
         for i in range(500):
             core.execute(TraceRecord(0x400000 + (i % 16) * 4))
         sampler.sample()
@@ -34,7 +36,7 @@ class TestSampler:
 
     def test_samples_are_deltas(self, config):
         core, hierarchy, llc, tracker = make_rig(config)
-        sampler = _Sampler(core, llc, 0, tracker, interval=1_000)
+        sampler = IntervalSampler(core, llc, 0, tracker, interval=1_000)
         for round_ in range(3):
             for i in range(1_000):
                 core.execute(TraceRecord(
@@ -48,7 +50,7 @@ class TestSampler:
 
     def test_sample_metrics_consistent(self, config):
         core, hierarchy, llc, tracker = make_rig(config)
-        sampler = _Sampler(core, llc, 0, tracker, interval=500)
+        sampler = IntervalSampler(core, llc, 0, tracker, interval=500)
         for i in range(500):
             core.execute(TraceRecord(0x400000,
                                      load_addr=0x100000000 + i * 64))
@@ -122,7 +124,7 @@ class TestResetStats:
             core.execute(TraceRecord(0x400000,
                                      load_addr=0x100000000 + i * 64))
         occupancy_before = llc.occupancy()
-        _reset_stats(core, hierarchy, tracker, 0)
+        reset_stats(core, hierarchy, tracker, 0)
         assert core.stats.instructions == 0
         assert hierarchy.l1d.stats.accesses == 0
         assert llc.stats.accesses == 0
@@ -137,7 +139,7 @@ class TestResetStats:
             for i in range(32):
                 core.execute(TraceRecord(0x400000,
                                          load_addr=0x100000000 + i * 4096))
-        _reset_stats(core, hierarchy, tracker, 0)
+        reset_stats(core, hierarchy, tracker, 0)
         assert sum(llc.reuse_histogram) == 0
         assert sum(llc.owner_reuse_histogram(0)) == 0
 

@@ -230,12 +230,14 @@ class TestTrace:
         assert len(trace) == 2000
         assert trace.name == "435.gromacs"
 
-    def test_build_legacy_format(self, tmp_path, capsys):
+    def test_legacy_format_flag_removed(self, tmp_path, capsys):
         output = tmp_path / "legacy.trace.gz"
-        assert main(["trace", "build", "435.gromacs", str(output),
-                     "--length", "500", "--format", "1"]) == 0
-        assert "PNTR1" in capsys.readouterr().out
-        assert len(read_trace(output)) == 500
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "build", "435.gromacs", str(output),
+                  "--length", "500", "--format", "1"])
+        assert excinfo.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_info_reports_counts(self, tmp_path, capsys):
         output = tmp_path / "out.trace.gz"
@@ -263,38 +265,6 @@ class TestTrace:
         assert "470.lbm" in out and "429.mcf" in out
         assert main(["trace", "cache", "clear", "--dir", str(store_dir)]) == 0
         assert "removed 2" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_no_record_prints_json(self, capsys):
-        assert main(["bench", "--scale", "0.05", "--repeats", "1",
-                     "--no-record"]) == 0
-        out = capsys.readouterr().out
-        assert "data-path microbenchmark" in out
-        assert "fastcache (records/s)" in out
-        # --no-record emits the JSON record instead of touching the file.
-        assert '"fastcache_records_per_sec"' in out
-
-    def test_record_appends_to_bench_file(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.datapath as datapath
-
-        bench_file = tmp_path / "BENCH_datapath.json"
-        monkeypatch.setattr(datapath, "BENCH_FILE", bench_file)
-        assert main(["bench", "--scale", "0.05", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "appended run #1" in out
-        document = json.loads(bench_file.read_text())
-        assert len(document["runs"]) == 1
-        assert document["current"]["repeats"] == 1
-        assert document["current"]["fastcache_records_per_sec"] > 0
-
-    def test_speedup_shown_when_baseline_exists(self, capsys):
-        assert main(["bench", "--scale", "0.05", "--repeats", "1",
-                     "--no-record"]) == 0
-        out = capsys.readouterr().out
-        # The repo ships a seed baseline, so ratios must be reported.
-        assert "speedup vs seed: fastcache" in out
-        assert "speedup vs seed: simulate" in out
 
 
 class TestCampaignCommands:
@@ -514,31 +484,6 @@ class TestReproduceResume:
             main(["reproduce", "--store", str(store)] + self.ARGS)
 
 
-class TestBenchReproduce:
-    def test_no_record_prints_json(self, capsys):
-        assert main(["bench", "--suite", "reproduce", "--scale", "0.25",
-                     "--repeats", "1", "--no-record"]) == 0
-        out = capsys.readouterr().out
-        assert "reproduce benchmark" in out
-        assert "dedup ratio" in out
-        assert '"bundle_dedup_ratio"' in out
-
-    def test_record_appends_to_bench_file(self, tmp_path, capsys,
-                                          monkeypatch):
-        import repro.bench.reproduce as bench_reproduce
-
-        bench_file = tmp_path / "BENCH_reproduce.json"
-        monkeypatch.setattr(bench_reproduce, "BENCH_FILE", bench_file)
-        assert main(["bench", "--suite", "reproduce", "--scale", "0.25",
-                     "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "appended run #1" in out
-        document = json.loads(bench_file.read_text())
-        assert document["current"]["bundle_dedup_ratio"] > 1.0
-        assert (document["dedup_planned_vs_executed"]["full_registry"]
-                > 1.0)
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -547,6 +492,12 @@ class TestParser:
     def test_help_builds(self):
         parser = build_parser()
         assert parser.prog == "repro"
+
+    def test_bench_command_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestCampaignTelemetryCommands:
@@ -780,60 +731,3 @@ class TestCampaignIdSchemeGate:
         with pytest.raises(ValueError,
                            match="pinte-job-v2.*cannot be matched"):
             main(["campaign", "resume", str(store), "--processes", "1"])
-
-
-class TestBenchGateCommand:
-    def baseline(self, tmp_path, current):
-        path = tmp_path / "BENCH_datapath.json"
-        path.write_text(json.dumps({"current": current}))
-        return str(path)
-
-    def test_check_needs_baseline(self):
-        with pytest.raises(SystemExit, match="baseline"):
-            main(["bench", "--check"])
-
-    def test_gate_passes_within_tolerance(self, tmp_path, capsys,
-                                          monkeypatch):
-        import repro.bench.gate as gate
-
-        monkeypatch.setattr(gate, "_run_suite",
-                            lambda suite, repeats, scale:
-                            {"a_per_sec": 95.0})
-        path = self.baseline(tmp_path, {"a_per_sec": 100.0})
-        assert main(["bench", "--baseline", path, "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "gate passed" in out
-        assert "a_per_sec" in out
-
-    def test_gate_fails_on_regression(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.gate as gate
-
-        monkeypatch.setattr(gate, "_run_suite",
-                            lambda suite, repeats, scale:
-                            {"a_per_sec": 10.0})
-        path = self.baseline(tmp_path, {"a_per_sec": 100.0})
-        assert main(["bench", "--baseline", path, "--check"]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "REGRESSION" in out
-
-    def test_report_only_never_fails(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.gate as gate
-
-        monkeypatch.setattr(gate, "_run_suite",
-                            lambda suite, repeats, scale:
-                            {"a_per_sec": 10.0})
-        path = self.baseline(tmp_path, {"a_per_sec": 100.0})
-        assert main(["bench", "--baseline", path, "--check",
-                     "--report-only"]) == 0
-        out = capsys.readouterr().out
-        assert "report-only" in out
-
-    def test_tolerance_flag_respected(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.gate as gate
-
-        monkeypatch.setattr(gate, "_run_suite",
-                            lambda suite, repeats, scale:
-                            {"a_per_sec": 60.0})
-        path = self.baseline(tmp_path, {"a_per_sec": 100.0})
-        assert main(["bench", "--baseline", path, "--check",
-                     "--tolerance", "0.5"]) == 0

@@ -1,12 +1,13 @@
-"""Unit tests for trace file I/O — both PNTR format versions.
+"""Unit tests for trace file I/O (the columnar ``PNTR2`` format).
 
 The property the suite guards: for any record stream, ``read_trace``
 after ``write_trace`` reproduces the records exactly — including the
-``None``-vs-``0`` address distinction — whichever on-disk version was
-written, and legacy ``PNTR1`` files stay readable forever.
+``None``-vs-``0`` address distinction — and a legacy ``PNTR1`` file is
+refused with one error that says how to regenerate it.
 """
 
 import gzip
+import struct
 
 import pytest
 
@@ -15,8 +16,6 @@ from repro.trace.packed import as_packed
 from repro.trace.record import Trace, TraceRecord
 from repro.trace.spec_models import get_workload
 from repro.trace.synthetic import build_trace
-
-VERSIONS = (1, 2)
 
 
 def sample_trace():
@@ -59,22 +58,19 @@ EDGE_CASES = {
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("version", VERSIONS)
-    def test_records_survive(self, tmp_path, version):
+    def test_records_survive(self, tmp_path):
         path = tmp_path / "t.trace.gz"
         trace = sample_trace()
-        count = write_trace(trace, path, version=version)
+        count = write_trace(trace, path)
         assert count == 5
         loaded = read_trace(path)
         assert loaded.records == trace.records
 
-    @pytest.mark.parametrize("version", VERSIONS)
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-    def test_edge_case_round_trip(self, tmp_path, version, case):
+    def test_edge_case_round_trip(self, tmp_path, case):
         records = EDGE_CASES[case]
         path = tmp_path / f"{case}.trace.gz"
-        assert write_trace(Trace(case, records), path,
-                           version=version) == len(records)
+        assert write_trace(Trace(case, records), path) == len(records)
         loaded = read_trace(path)
         assert loaded.records == records
 
@@ -91,10 +87,9 @@ class TestRoundTrip:
         write_trace(sample_trace(), path)
         assert read_trace(path).name == "sample"
 
-    @pytest.mark.parametrize("version", VERSIONS)
-    def test_name_override(self, tmp_path, version):
+    def test_name_override(self, tmp_path):
         path = tmp_path / "t.trace.gz"
-        write_trace(sample_trace(), path, name="other", version=version)
+        write_trace(sample_trace(), path, name="other")
         assert read_trace(path).name == "other"
 
     def test_iterable_input(self, tmp_path):
@@ -128,35 +123,6 @@ class TestRoundTrip:
             assert fh.read(6) == f"PNTR{FORMAT_VERSION}\n".encode()
 
 
-class TestLegacyCompatibility:
-    def test_v1_and_v2_read_back_identical(self, tmp_path):
-        """The same stream through both formats loads to identical columns."""
-        trace = build_trace(get_workload("470.lbm"), 2000, 3, 65536)
-        v1 = tmp_path / "v1.trace.gz"
-        v2 = tmp_path / "v2.trace.gz"
-        write_trace(trace, v1, version=1)
-        write_trace(trace, v2, version=2)
-        loaded_v1 = as_packed(read_trace(v1))
-        loaded_v2 = as_packed(read_trace(v2))
-        assert loaded_v1 == loaded_v2
-        assert loaded_v1 == as_packed(trace)
-
-    def test_v1_magic(self, tmp_path):
-        path = tmp_path / "v1.trace.gz"
-        write_trace(sample_trace(), path, version=1)
-        with gzip.open(path, "rb") as fh:
-            assert fh.read(6) == b"PNTR1\n"
-
-    def test_v2_smaller_than_v1_for_synthetic(self, tmp_path):
-        """Columnar blocks compress better than interleaved records."""
-        trace = build_trace(get_workload("429.mcf"), 20_000, 1, 65536)
-        v1 = tmp_path / "v1.trace.gz"
-        v2 = tmp_path / "v2.trace.gz"
-        write_trace(trace, v1, version=1)
-        write_trace(trace, v2, version=2)
-        assert v2.stat().st_size < v1.stat().st_size
-
-
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.trace.gz"
@@ -165,24 +131,32 @@ class TestErrors:
         with pytest.raises(ValueError, match="bad magic"):
             read_trace(path)
 
-    def test_unknown_version_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown trace format"):
-            write_trace(sample_trace(), tmp_path / "x.trace.gz", version=3)
+    def test_legacy_pntr1_refused(self, tmp_path):
+        """An old record-interleaved file, header plus one ``<QQQB``
+        record written by hand, fails with one message naming the fix."""
+        path = tmp_path / "v1.trace.gz"
+        record = struct.pack("<QQQB", 0x400000, 0x1000, 0, 0b01000)
+        with gzip.open(path, "wb") as fh:
+            fh.write(b"PNTR1\n" + struct.pack("<H", 1) + b"x" + record)
+        with pytest.raises(ValueError) as excinfo:
+            read_trace(path)
+        message = str(excinfo.value)
+        assert "legacy PNTR1 trace format is no longer read" in message
+        assert "repro trace build" in message
 
-    @pytest.mark.parametrize("version", VERSIONS)
-    def test_truncated_tail(self, tmp_path, version):
+    def test_truncated_tail(self, tmp_path):
         path = tmp_path / "t.trace.gz"
-        write_trace(sample_trace(), path, version=version)
+        write_trace(sample_trace(), path)
         raw = gzip.decompress(path.read_bytes())
         with gzip.open(path, "wb") as fh:
-            fh.write(raw[:-3])  # chop mid-record / mid-column
+            fh.write(raw[:-3])  # chop mid-column
         with pytest.raises(ValueError, match="truncated"):
             read_trace(path)
 
     @pytest.mark.parametrize("cut", ("count", "pcs", "flags"))
     def test_truncated_v2_sections(self, tmp_path, cut):
         path = tmp_path / "t.trace.gz"
-        write_trace(sample_trace(), path, version=2)
+        write_trace(sample_trace(), path)
         raw = gzip.decompress(path.read_bytes())
         header = 6 + 2 + len(b"sample")
         offsets = {
@@ -197,7 +171,7 @@ class TestErrors:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.trace.gz"
-        write_trace(sample_trace(), path, version=2)
+        write_trace(sample_trace(), path)
         raw = gzip.decompress(path.read_bytes())
         with gzip.open(path, "wb") as fh:
             fh.write(raw + b"junk")
