@@ -8,6 +8,11 @@ Runs three small fixed calls under the stdlib ``cProfile``:
 * ``pinte-events``: the same ``pinte`` run with event tracing on
   (``observe=Observation.with_events()``), which also pins the number of
   events it records;
+* ``pinte-sweep``: an inline ``run_campaign`` of the 12-point
+  ``PAPER_PINDUCE_SWEEP`` on 470.lbm, whose jobs replay one memoised
+  private stage (``repro.sim.private``): its ``pinte``, ``tracker`` and
+  ``dram`` calls are those of the 12 runs alone, its ``cache``,
+  ``branch`` and ``replacement`` calls close to one run's private stage;
 
 and counts the calls of Python functions defined in the ``repro`` package,
 folded into the layers of ``perfbench/layers.py``. A ``repro`` module in no
@@ -45,12 +50,16 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import repro
+from repro.campaign import run_campaign
 from repro.config import scaled_config
-from repro.core import PinteConfig
+from repro.core import PAPER_PINDUCE_SWEEP, PinteConfig
 from repro.obs import Observation
+from repro.sim import ExperimentScale
+from repro.sim.batch import Job
 from repro.sim.multicore import simulate_pair
 from repro.sim.simulator import simulate
 from repro.trace import build_trace, get_workload
+from repro.trace.store import MemoryTraceStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PINNED = REPO_ROOT / "tests" / "golden" / "frame_budget.json"
@@ -74,6 +83,11 @@ INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 PAIR_INSTRUCTIONS = 3_000
 PINTE_INSTRUCTIONS = 5_000
 SEED = 1
+#: Each ``pinte-sweep`` job: warm-up + measured instructions.
+SWEEP_SCALE = ExperimentScale(warmup_instructions=500, sim_instructions=1_500,
+                              sample_interval=500, seed=SEED)
+SWEEP_JOBS = tuple(Job("470.lbm", mode="pinte", p_induce=p)
+                   for p in PAPER_PINDUCE_SWEEP)
 
 _PACKAGE = str(Path(repro.__file__).resolve().parent) + os.sep
 
@@ -83,33 +97,37 @@ def _pair(config):
                           config.llc.size)
     secondary = build_trace(get_workload("450.soplex"), PAIR_INSTRUCTIONS,
                             SEED + 1, config.llc.size)
-    return (lambda: simulate_pair(primary, secondary, config,
-                                  sim_instructions=PAIR_INSTRUCTIONS,
-                                  seed=SEED, return_secondary=True)), None
+    return (lambda: [simulate_pair(primary, secondary, config,
+                                   sim_instructions=PAIR_INSTRUCTIONS,
+                                   seed=SEED, return_secondary=True)]), None
 
 
 def _pinte(config, observe: Optional[Observation] = None):
     trace = build_trace(get_workload("470.lbm"), PINTE_INSTRUCTIONS, SEED,
                         config.llc.size)
-    return (lambda: simulate(trace, config, pinte=PinteConfig(0.1, seed=SEED),
-                             sim_instructions=PINTE_INSTRUCTIONS, seed=SEED,
-                             observe=observe)), observe
+    return (lambda: [simulate(trace, config, pinte=PinteConfig(0.1, seed=SEED),
+                              sim_instructions=PINTE_INSTRUCTIONS, seed=SEED,
+                              observe=observe)]), observe
 
 
 def _pinte_events(config):
     return _pinte(config, Observation.with_events())
 
 
-#: Each factory returns the call to profile and the observation it
-#: records into (None when observation is off).
-WORKLOADS = {"pair": _pair, "pinte": _pinte, "pinte-events": _pinte_events}
+def _pinte_sweep(config):
+    return (lambda: run_campaign(SWEEP_JOBS, config, SWEEP_SCALE,
+                                 processes=1,
+                                 trace_store=MemoryTraceStore()).results), None
 
 
-def measure(name: str) -> Dict[str, object]:
-    """One workload's instructions (all cores), ``repro`` calls per layer
-    and, when it traces events, the events recorded, from a fresh profiled
-    call."""
-    call, observe = WORKLOADS[name](scaled_config())
+#: Each factory returns the call to profile (it returns a list of results)
+#: and the observation it records into (None when observation is off).
+WORKLOADS = {"pair": _pair, "pinte": _pinte, "pinte-events": _pinte_events,
+             "pinte-sweep": _pinte_sweep}
+
+
+def profile_calls(call):
+    """``call()``'s result and its ``repro`` calls per layer."""
     profiler = cProfile.Profile()
     profiler.enable()
     result = call()
@@ -122,10 +140,20 @@ def measure(name: str) -> Dict[str, object]:
             continue
         layer = layer_of(filename)
         calls[layer] = calls.get(layer, 0) + ncalls
-    instructions = result.instructions + int(
-        result.extra.get("secondary_instructions", 0))
-    counts = {"instructions": instructions,
-              "calls": dict(sorted(calls.items()))}
+    return result, dict(sorted(calls.items()))
+
+
+def measure(name: str) -> Dict[str, object]:
+    """One workload's instructions (all cores), ``repro`` calls per layer
+    and, when it traces events, the events recorded, from a fresh profiled
+    call."""
+    call, observe = WORKLOADS[name](scaled_config())
+    results, calls = profile_calls(call)
+    instructions = sum(
+        result.instructions + int(result.extra.get("secondary_instructions",
+                                                   0))
+        for result in results)
+    counts = {"instructions": instructions, "calls": calls}
     if observe is not None:
         counts["events"] = observe.events.recorded
     return counts

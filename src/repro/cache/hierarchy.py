@@ -4,7 +4,9 @@ One :class:`MemoryHierarchy` per core. Cores share the LLC, the DRAM and the
 :class:`~repro.core.counters.ContentionTracker`; in 2nd-Trace mode two
 hierarchies contend naturally, in PInTE mode a single hierarchy carries a
 :class:`~repro.core.pinte.PInTE` engine that fires after every LLC demand
-access.
+access. Everything a private-cache access does to that shared side goes
+through the :class:`SharedPort` a hierarchy extends, which is also all a
+replayed core (:mod:`repro.sim.private`) needs.
 
 Inclusion (paper Section III-C b):
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.cache.cache import Cache, EvictedBlock
+from repro.cache.cache import Cache, CacheStats, EvictedBlock
 from repro.owners import SYSTEM_OWNER
 from repro.config import MachineConfig
 from repro.core.counters import ContentionTracker
@@ -46,8 +48,18 @@ def build_llc(config: MachineConfig, seed: int = 0) -> Cache:
     )
 
 
-class MemoryHierarchy:
-    """Private caches + shared LLC/DRAM for one core."""
+class SharedPort:
+    """One core's port onto the shared side: LLC, DRAM, tracker, PInTE.
+
+    The *shared stage* of the demand walk. Every LLC-side effect of a
+    private-cache access goes through :meth:`llc_read` (an L2 demand
+    miss), :meth:`llc_writeback` (a dirty L2 victim) and
+    :meth:`llc_prefetch` (a prefetch that missed the private levels), plus
+    the engine's ``pinte.on_llc_access`` after each demand read. A
+    :class:`MemoryHierarchy` calls them from its lockstep walk; a replayed
+    core (:mod:`repro.sim.private`) calls them from recorded private-stage
+    events, with no private caches built at all.
+    """
 
     def __init__(
         self,
@@ -56,23 +68,18 @@ class MemoryHierarchy:
         llc: Optional[Cache] = None,
         dram: Optional[Dram] = None,
         tracker: Optional[ContentionTracker] = None,
-        registry: Optional[Dict[int, "MemoryHierarchy"]] = None,
+        registry: Optional[Dict[int, "SharedPort"]] = None,
         seed: int = 0,
     ) -> None:
         self.config = config
         self.owner = owner
         self.block_size = config.block_size
         self.inclusion = config.inclusion
-        self.l1i = Cache("L1I", config.l1i.size, config.l1i.assoc, config.block_size,
-                         config.l1i.latency, config.l1i.policy, policy_seed=seed)
-        self.l1d = Cache("L1D", config.l1d.size, config.l1d.assoc, config.block_size,
-                         config.l1d.latency, config.l1d.policy, policy_seed=seed)
-        self.l2 = Cache("L2", config.l2.size, config.l2.assoc, config.block_size,
-                        config.l2.latency, config.l2.policy, policy_seed=seed)
         self.llc = llc if llc is not None else build_llc(config, seed)
+        self.llc_latency = self.llc.latency
         self.dram = dram if dram is not None else Dram(config.dram)
         self.tracker = tracker if tracker is not None else ContentionTracker()
-        #: owner -> hierarchy map shared by all cores on one LLC; used for
+        #: owner -> port map shared by all cores on one LLC; used for
         #: inclusive back-invalidation.
         self.registry = registry if registry is not None else {}
         self.registry[owner] = self
@@ -80,14 +87,6 @@ class MemoryHierarchy:
         #: Optional observer called with (owner, block, hit) on every LLC
         #: demand access — used by cache-partitioning utility monitors.
         self.llc_access_hook = None
-        self.l1i_prefetcher = self._make_prefetcher(config.l1i.prefetcher)
-        self.l1d_prefetcher = self._make_prefetcher(config.l1d.prefetcher)
-        self.l2_prefetcher = self._make_prefetcher(config.l2.prefetcher)
-
-    def _make_prefetcher(self, name: str) -> Optional[Prefetcher]:
-        if name == "none":
-            return None
-        return make_prefetcher(name, block_size=self.block_size)
 
     def attach_pinte(self, pinte, per_access: bool = True) -> None:
         """Bind a PInTE engine (its write-backs route to this DRAM).
@@ -102,6 +101,116 @@ class MemoryHierarchy:
         pinte.writeback = lambda addr, cycle: self.dram.access(addr, cycle, is_write=True)
         if self.inclusion == "inclusive":
             pinte.back_invalidate = lambda addr, cycle: self._back_invalidate_all(addr, cycle)
+
+    def reset_stats(self) -> None:
+        """Warm-up boundary: clear the LLC statistics and this owner's reuse."""
+        llc = self.llc
+        llc.stats = CacheStats()
+        llc.reuse_histogram = [0] * llc.assoc
+        llc.reuse_by_owner.pop(self.owner, None)
+
+    # ------------------------------------------------------------ shared stage
+    def llc_read(self, block: int, cycle: int) -> int:
+        """LLC demand read issued at ``cycle``; returns the DRAM latency
+        it adds (0 on a hit). A miss fills the LLC unless it is exclusive."""
+        owner = self.owner
+        llc = self.llc
+        hit = llc.access(block, False, owner)
+        self.tracker.record_access(owner, block, hit)
+        if self.llc_access_hook is not None:
+            self.llc_access_hook(owner, block, hit)
+        if hit:
+            return 0
+        extra = self.dram.access(block, cycle, is_write=False)
+        if self.inclusion != "exclusive":
+            self._llc_fill(block, cycle + extra)
+        return extra
+
+    def llc_writeback(self, block: int, cycle: int) -> None:
+        """A dirty L2 victim arrives at a non-exclusive LLC."""
+        # The L2 spill traffic the paper's Fig 6b root-causes.
+        if self.llc.mark_dirty(block):
+            self.llc.stats.writeback_fills += 1
+        else:
+            self._llc_fill(block, cycle, dirty=True, writeback=True)
+
+    def llc_prefetch(self, block: int, cycle: int) -> None:
+        """A prefetch that missed the private levels: fetch it from DRAM
+        (filling the LLC) unless the LLC already holds it."""
+        if self.llc.probe(block) >= 0:
+            return
+        self.dram.access(block, cycle, is_write=False)
+        if self.inclusion != "exclusive":
+            self._llc_fill(block, cycle, prefetched=True)
+
+    def _llc_fill(self, block: int, cycle: int, dirty: bool = False,
+                  prefetched: bool = False, writeback: bool = False) -> None:
+        evicted = self.llc.fill(
+            block, self.owner, dirty=dirty, prefetched=prefetched,
+            is_writeback_fill=writeback,
+            max_owner_ways=self.config.llc_way_allocation,
+        )
+        self.tracker.record_refill(self.owner, block)
+        if evicted is None:
+            return
+        if evicted.owner not in (self.owner, SYSTEM_OWNER):
+            # Natural inter-core theft (2nd-Trace contention).
+            self.tracker.record_theft(evicted.owner, self.owner, evicted.tag)
+        if evicted.dirty:
+            self.dram.access(evicted.tag, cycle, is_write=True)
+        if self.inclusion == "inclusive":
+            self._back_invalidate_all(evicted.tag, cycle)
+
+    def _back_invalidate_all(self, block: int, cycle: int) -> None:
+        for hierarchy in self.registry.values():
+            hierarchy._back_invalidate_private(block, cycle)
+
+    # ------------------------------------------------------------------ queries
+    def llc_occupancy_fraction(self) -> float:
+        """This core's share of LLC blocks (Eq. 6 numerator)."""
+        return self.llc.occupancy(self.owner) / self.llc.capacity_blocks
+
+
+class MemoryHierarchy(SharedPort):
+    """Private caches + shared LLC/DRAM for one core.
+
+    The lockstep demand walk: L1I/L1D/L2 and their prefetchers run here,
+    and each access's LLC-side effects run at once through the inherited
+    shared stage.
+    """
+
+    def __init__(
+        self,
+        config: MachineConfig,
+        owner: int,
+        llc: Optional[Cache] = None,
+        dram: Optional[Dram] = None,
+        tracker: Optional[ContentionTracker] = None,
+        registry: Optional[Dict[int, SharedPort]] = None,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(config, owner, llc=llc, dram=dram, tracker=tracker,
+                         registry=registry, seed=seed)
+        self.l1i = Cache("L1I", config.l1i.size, config.l1i.assoc, config.block_size,
+                         config.l1i.latency, config.l1i.policy, policy_seed=seed)
+        self.l1d = Cache("L1D", config.l1d.size, config.l1d.assoc, config.block_size,
+                         config.l1d.latency, config.l1d.policy, policy_seed=seed)
+        self.l2 = Cache("L2", config.l2.size, config.l2.assoc, config.block_size,
+                        config.l2.latency, config.l2.policy, policy_seed=seed)
+        self.l1i_prefetcher = self._make_prefetcher(config.l1i.prefetcher)
+        self.l1d_prefetcher = self._make_prefetcher(config.l1d.prefetcher)
+        self.l2_prefetcher = self._make_prefetcher(config.l2.prefetcher)
+
+    def _make_prefetcher(self, name: str) -> Optional[Prefetcher]:
+        if name == "none":
+            return None
+        return make_prefetcher(name, block_size=self.block_size)
+
+    def reset_stats(self) -> None:
+        """Warm-up boundary: clear every level's statistics."""
+        for cache in (self.l1i, self.l1d, self.l2):
+            cache.stats = CacheStats()
+        super().reset_stats()
 
     # ------------------------------------------------------------------ demand
     def fetch(self, pc: int, cycle: int) -> int:
@@ -145,22 +254,14 @@ class MemoryHierarchy:
                                      cycle + latency)
             return latency
 
-        # L2 miss -> LLC
-        llc = self.llc
-        latency += llc.latency
-        llc_hit = llc.access(block, False, owner)
-        self.tracker.record_access(owner, block, llc_hit)
-        if self.llc_access_hook is not None:
-            self.llc_access_hook(owner, block, llc_hit)
+        # L2 miss -> LLC (the shared stage)
+        latency += self.llc_latency
+        latency += self.llc_read(block, cycle + latency)
         dirty_from_llc = False
-        if llc_hit:
-            if self.inclusion == "exclusive":
-                info = llc.invalidate(block)
-                dirty_from_llc = bool(info and info.dirty)
-        else:
-            latency += self.dram.access(block, cycle + latency, is_write=False)
-            if self.inclusion != "exclusive":
-                self._llc_fill(block, cycle + latency)
+        if self.inclusion == "exclusive":
+            # The hit moves up to L2; a miss left no LLC copy to drop.
+            info = self.llc.invalidate(block)
+            dirty_from_llc = bool(info and info.dirty)
 
         evicted = l2.fill(block, owner, dirty_from_llc)
         if evicted is not None:
@@ -175,8 +276,8 @@ class MemoryHierarchy:
         # The PInTE hook: fires after every LLC demand access (UPDATE-ACCESS
         # has happened -- either the hit promotion or the miss fill above).
         if self.pinte is not None:
-            self.pinte.on_llc_access(llc.set_index(block), cycle + latency,
-                                     owner)
+            self.pinte.on_llc_access(self.llc.set_index(block),
+                                     cycle + latency, owner)
         return latency
 
     # ------------------------------------------------------------------- fills
@@ -194,36 +295,10 @@ class MemoryHierarchy:
             # Victim cache: every L2 eviction inserts into the LLC.
             self._llc_fill(evicted.tag, cycle, dirty=evicted.dirty, writeback=True)
         elif evicted.dirty:
-            # The L2 spill traffic the paper's Fig 6b root-causes.
-            if self.llc.mark_dirty(evicted.tag):
-                self.llc.stats.writeback_fills += 1
-            else:
-                self._llc_fill(evicted.tag, cycle, dirty=True, writeback=True)
+            self.llc_writeback(evicted.tag, cycle)
         # clean, non-exclusive victims are silently dropped
 
-    def _llc_fill(self, block: int, cycle: int, dirty: bool = False,
-                  prefetched: bool = False, writeback: bool = False) -> None:
-        evicted = self.llc.fill(
-            block, self.owner, dirty=dirty, prefetched=prefetched,
-            is_writeback_fill=writeback,
-            max_owner_ways=self.config.llc_way_allocation,
-        )
-        self.tracker.record_refill(self.owner, block)
-        if evicted is None:
-            return
-        if evicted.owner not in (self.owner, SYSTEM_OWNER):
-            # Natural inter-core theft (2nd-Trace contention).
-            self.tracker.record_theft(evicted.owner, self.owner, evicted.tag)
-        if evicted.dirty:
-            self.dram.access(evicted.tag, cycle, is_write=True)
-        if self.inclusion == "inclusive":
-            self._back_invalidate_all(evicted.tag, cycle)
-
     # ------------------------------------------------------------ invalidation
-    def _back_invalidate_all(self, block: int, cycle: int) -> None:
-        for hierarchy in self.registry.values():
-            hierarchy._back_invalidate_private(block, cycle)
-
     def _back_invalidate_private(self, block: int, cycle: int) -> None:
         for cache in (self.l1i, self.l1d, self.l2):
             info = cache.invalidate(block)
@@ -243,15 +318,8 @@ class MemoryHierarchy:
         to the core; DRAM bandwidth is consumed)."""
         if target.probe(block) >= 0:
             return
-        found = False
-        if target is self.l1d or target is self.l1i:
-            found = self.l2.probe(block) >= 0
-        if not found:
-            found = self.llc.probe(block) >= 0
-        if not found:
-            self.dram.access(block, cycle, is_write=False)
-            if self.inclusion != "exclusive":
-                self._llc_fill(block, cycle, prefetched=True)
+        if target is self.l2 or self.l2.probe(block) < 0:
+            self.llc_prefetch(block, cycle)
         if target is self.l2:
             evicted = target.fill(block, self.owner, prefetched=True)
             if evicted is not None:
@@ -262,10 +330,6 @@ class MemoryHierarchy:
                 self._writeback_to_l2(evicted.tag, cycle)
 
     # ------------------------------------------------------------------ queries
-    def llc_occupancy_fraction(self) -> float:
-        """This core's share of LLC blocks (Eq. 6 numerator)."""
-        return self.llc.occupancy(self.owner) / self.llc.capacity_blocks
-
     def prefetch_issued(self) -> int:
         return sum(
             p.stats.issued

@@ -54,7 +54,8 @@ from repro.obs.telemetry import (
     TelemetrySpooler,
     spool_path,
 )
-from repro.sim.batch import Job, run_job
+from repro.sim.batch import Job, job_stream_keys, run_job
+from repro.sim.private import PrivateStreamMemo
 from repro.sim.results import SimulationResult
 from repro.sim.runner import ExperimentScale
 from repro.sim.serialize import result_from_dict
@@ -190,7 +191,7 @@ def check_limits(processes: Optional[int],
 
 def execute_job(job: Job, config: MachineConfig, scale: ExperimentScale,
                 attempt: int = 1, trace_store=None,
-                observe=None) -> SimulationResult:
+                observe=None, private_memo=None) -> SimulationResult:
     """Run one job, honouring ``__fault:`` injection names.
 
     This is the single entry point both the inline path and the pool
@@ -200,14 +201,15 @@ def execute_job(job: Job, config: MachineConfig, scale: ExperimentScale,
     traces from the shared on-disk cache; ``observe`` (a
     :class:`repro.obs.Observation`) gives the job a registry/profiler —
     the telemetry bus spools it home from worker processes.
+    ``private_memo`` (a :class:`~repro.sim.private.PrivateStreamMemo`)
+    lets the job replay memoised private-stage streams.
     """
     fault = parse_fault(job.workload)
-    if fault is None:
-        return run_job(job, config, scale, trace_store=trace_store,
-                       observe=observe)
-    real_workload = fault.apply(attempt)  # may raise / hang / kill us
-    return run_job(replace(job, workload=real_workload), config, scale,
-                   trace_store=trace_store, observe=observe)
+    if fault is not None:
+        # May raise / hang / kill us.
+        job = replace(job, workload=fault.apply(attempt))
+    return run_job(job, config, scale, trace_store=trace_store,
+                   observe=observe, private_memo=private_memo)
 
 
 def _job_label(job: Job) -> str:
@@ -246,17 +248,20 @@ class _TelemetryTarget:
 def _spooled_execute(job: Job, config: MachineConfig, scale: ExperimentScale,
                      attempt: int, trace_store,
                      telemetry: Optional[_TelemetryTarget],
-                     ) -> SimulationResult:
+                     private_memo=None) -> SimulationResult:
     """Run one job, spooling telemetry when a target was configured.
 
     Shared by the pool workers and the inline path so a campaign looks
     identical on the telemetry bus in either execution mode. With
     ``telemetry=None`` this is exactly :func:`execute_job` — no
-    observation bundle, no spool file, no sampling thread.
+    observation bundle, no spool file, no sampling thread. An observed
+    (spooled) job walks its caches in lockstep, so ``private_memo`` only
+    serves the unobserved path.
     """
     if telemetry is None:
         return execute_job(job, config, scale, attempt,
-                           trace_store=trace_store)
+                           trace_store=trace_store,
+                           private_memo=private_memo)
     from repro.obs import Observation
 
     observe = Observation()
@@ -352,7 +357,8 @@ class _CampaignRun:
                  store: Optional[ResultStore], progress: _Progress,
                  profiler, trace_store=None,
                  telemetry: Optional[TelemetrySettings] = None,
-                 telemetry_dir: Optional[Path] = None) -> None:
+                 telemetry_dir: Optional[Path] = None,
+                 private_memo: Optional[PrivateStreamMemo] = None) -> None:
         self.config = config
         self.scale = scale
         self.retry = retry
@@ -370,6 +376,17 @@ class _CampaignRun:
         self.results_by_id: Dict[str, SimulationResult] = {}
         self.failures: List[JobFailure] = []
         self.pool: Optional[PoolExecutor] = None
+        self.private_memo = private_memo
+        self._stream_keys: Dict[str, list] = {}
+
+    def stream_keys(self, item: _Pending) -> list:
+        """The private streams a job replays (none when observed)."""
+        keys = self._stream_keys.get(item.jid)
+        if keys is None:
+            keys = self._stream_keys[item.jid] = (
+                [] if self.telemetry is not None
+                else job_stream_keys(item.job, self.config, self.scale))
+        return keys
 
     # -- telemetry -----------------------------------------------------------
     def _telemetry_target(self, item: _Pending) -> Optional[_TelemetryTarget]:
@@ -448,7 +465,8 @@ class _CampaignRun:
                     result = _spooled_execute(item.job, self.config,
                                               self.scale, item.attempt,
                                               self.trace_store,
-                                              self._telemetry_target(item))
+                                              self._telemetry_target(item),
+                                              self.private_memo)
                 except Exception as exc:  # KeyboardInterrupt passes through
                     retry_item = self._attempt_failed(
                         item, "error", type(exc).__name__, str(exc),
@@ -469,6 +487,7 @@ class _CampaignRun:
                 self._record_success(item, result, wall)
                 self.poll_telemetry()
                 break
+            self.private_memo.release(self.stream_keys(item))
 
     # -- pool execution ------------------------------------------------------
     def run_pool(self, pending: List[_Pending], processes: int) -> None:
@@ -493,6 +512,7 @@ def run_campaign(
     raise_on_failure: bool = False,
     trace_store: Optional[Union[str, Path]] = None,
     telemetry: Union[None, bool, float, TelemetrySettings] = None,
+    private_memo: Optional[PrivateStreamMemo] = None,
 ) -> CampaignReport:
     """Run a campaign to completion, whatever the workers do.
 
@@ -536,6 +556,17 @@ def run_campaign(
     ``store`` (the spool directory lives next to it); ``repro campaign
     watch`` renders the same spools from any other process.
 
+    Jobs on a non-inclusive machine replay memoised private-stage
+    streams (:mod:`repro.sim.private`), so each trace's private caches run
+    once per call rather than once per job; results are bit-identical.
+    The memo lives in this process for an inline campaign and in each
+    worker for a pool campaign, and is gone when the call returns.
+    ``private_memo`` shares one memo across several calls (as
+    :func:`~repro.experiments.registry.execute_plan` does across its
+    contexts): the caller has already expected every job passed here,
+    and this call releases each job's streams once, after running it or
+    on skipping it.
+
     With ``raise_on_failure`` the first permanent failure raises
     :class:`CampaignError` *after* the campaign completes — the default is
     graceful degradation: finish everything, report failures in the
@@ -550,9 +581,9 @@ def run_campaign(
     if telemetry_settings is not None and store is None:
         raise ValueError("telemetry needs a result store — the spool "
                          "directory lives next to it")
-    jobs = list(jobs)
-    if shard is not None:
-        jobs = shard_jobs(jobs, shard[0], shard[1], config, scale)
+    requested = list(jobs)
+    jobs = (requested if shard is None else
+            shard_jobs(requested, shard[0], shard[1], config, scale))
     ids = [job_id(job, config, scale) for job in jobs]
 
     result_store: Optional[ResultStore] = None
@@ -617,7 +648,16 @@ def run_campaign(
                           result_store, progress_state, profiler,
                           trace_store=trace_store,
                           telemetry=telemetry_settings,
-                          telemetry_dir=telemetry_dir)
+                          telemetry_dir=telemetry_dir,
+                          private_memo=(PrivateStreamMemo() if private_memo is None
+                                        else private_memo))
+    runner.private_memo.expect(
+        key for item in pending for key in runner.stream_keys(item))
+    if private_memo is not None:
+        # Hand the caller's one expected use per job passed over to the
+        # pending jobs' own counts, so skipped jobs hold no stream.
+        private_memo.release(key for job in requested
+                             for key in job_stream_keys(job, config, scale))
     runner.results_by_id.update(resumed)
     if pending:
         if inline:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config import MachineConfig
 from repro.configio import machine_to_dict, to_dict
@@ -46,13 +46,17 @@ __all__ = [
 ID_SCHEME = "pinte-job-v3"
 
 
+#: Job field names in declaration order, as ``dataclasses.asdict`` lists them.
+_JOB_FIELDS = tuple(field.name for field in dataclasses.fields(Job))
+
+
 def job_to_dict(job: Job) -> dict:
     """Plain-dict form of a :class:`Job` (manifest / store serialisation).
 
     JSON-shaped: ``co_runners`` is a list, as a JSON round trip returns it,
     so a record the store keeps in memory equals the one it reads back.
     """
-    payload = dataclasses.asdict(job)
+    payload = {name: getattr(job, name) for name in _JOB_FIELDS}
     if job.co_runners is not None:
         payload["co_runners"] = list(job.co_runners)
     return payload
@@ -78,10 +82,40 @@ def canonical_job_payload(job: Job, config: MachineConfig,
     }
 
 
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+#: ``"machine":...,"scale":...`` of recent (config, scale) pairs, keyed by
+#: object identity. Each entry holds its objects, so an identity cannot be
+#: reused while its entry lives; equal-but-distinct configs are simply
+#: serialised again.
+_CONTEXT_JSON: Dict[Tuple[int, int], Tuple[object, object, str]] = {}
+_CONTEXT_JSON_SIZE = 64
+
+
+def _context_json(config: MachineConfig, scale: ExperimentScale) -> str:
+    key = (id(config), id(scale))
+    entry = _CONTEXT_JSON.get(key)
+    if entry is None:
+        if len(_CONTEXT_JSON) >= _CONTEXT_JSON_SIZE:
+            _CONTEXT_JSON.pop(next(iter(_CONTEXT_JSON)))
+        text = (f'"machine":{_dumps(machine_to_dict(config))},'
+                f'"scale":{_dumps(to_dict(scale))}')
+        entry = _CONTEXT_JSON[key] = (config, scale, text)
+    return entry[2]
+
+
 def job_id(job: Job, config: MachineConfig, scale: ExperimentScale) -> str:
-    """Stable 16-hex-digit id for one (job, machine, scale) triple."""
-    blob = json.dumps(canonical_job_payload(job, config, scale),
-                      sort_keys=True, separators=(",", ":"))
+    """Stable 16-hex-digit id for one (job, machine, scale) triple.
+
+    The sha256 of :func:`canonical_job_payload` as sorted, compact JSON.
+    The blob is spliced from its sorted top-level keys (``job``,
+    ``machine``, ``scale``, ``scheme``) so the machine and scale parts
+    are serialised once per config rather than once per job.
+    """
+    blob = (f'{{"job":{_dumps(job_to_dict(job))},'
+            f'{_context_json(config, scale)},"scheme":{_dumps(ID_SCHEME)}}}')
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 

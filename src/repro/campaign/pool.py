@@ -10,7 +10,11 @@ and keeps every worker busy:
   start; jobs stream to them over pipes and results stream back, so the
   per-job cost is one pickle round-trip, not a process launch. Each worker
   keeps a small in-memory trace memo (:class:`WorkerTraceMemo`), so a
-  worker that re-sees a workload skips even the mmap/build step.
+  worker that re-sees a workload skips even the mmap/build step, and a
+  private-stream memo (:class:`~repro.sim.private.PrivateStreamMemo`), so
+  it runs each trace's private caches once and replays them for every
+  later job on the same trace. The parent, which sees every dispatch,
+  tells a worker which streams no undispatched job needs any more.
 * **work stealing** — the parent deals pending jobs round-robin into
   per-worker deques (the same static distribution sharding uses across
   machines). A worker that drains its own deque *steals* the tail of the
@@ -45,9 +49,10 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from typing import Deque, Dict, List, Optional
 
-from collections import deque
+from collections import Counter, deque
 
 from repro.campaign.store import write_worker_records
+from repro.sim.private import PrivateStreamMemo
 from repro.obs.telemetry import pool_spool_path
 
 __all__ = [
@@ -123,8 +128,9 @@ def _pool_worker_main(recv_conn, send_conn, config, scale,
                       trace_store) -> None:
     """Long-lived worker loop: jobs stream in, results stream out.
 
-    One ``("job", jid, job, attempt, telemetry_target)`` message per
-    attempt; the reply is ``("ok", jid, result)`` or ``("err", jid, type,
+    One ``("job", jid, job, attempt, telemetry_target, drop)`` message per
+    attempt, where ``drop`` lists the private streams to free after the
+    job; the reply is ``("ok", jid, result)`` or ``("err", jid, type,
     message, traceback)``. A ``("stop",)`` message (or a closed pipe) ends
     the loop. Telemetry spooling happens here, per attempt, through the
     same :func:`~repro.campaign.engine._spooled_execute` the inline path
@@ -134,6 +140,7 @@ def _pool_worker_main(recv_conn, send_conn, config, scale,
     from repro.sim.batch import _coerce_store
 
     memo = WorkerTraceMemo(_coerce_store(trace_store))
+    streams = PrivateStreamMemo()
     try:
         while True:
             try:
@@ -142,14 +149,15 @@ def _pool_worker_main(recv_conn, send_conn, config, scale,
                 break
             if message[0] == "stop":
                 break
-            _, jid, job, attempt, telemetry = message
+            _, jid, job, attempt, telemetry, drop = message
             try:
                 result = _spooled_execute(job, config, scale, attempt, memo,
-                                          telemetry)
+                                          telemetry, streams)
                 send_conn.send(("ok", jid, result))
             except BaseException as exc:  # full capture is the point
                 send_conn.send(("err", jid, type(exc).__name__, str(exc),
                                 traceback.format_exc()))
+            streams.drop(drop)
     finally:
         try:
             send_conn.close()
@@ -176,6 +184,8 @@ class _Worker:
     steals: int = 0
     respawns: int = 0
     busy_seconds: float = 0.0
+    #: Private streams this slot's process may hold.
+    streams: set = field(default_factory=set)
 
 
 class PoolExecutor:
@@ -196,6 +206,8 @@ class PoolExecutor:
         self._waiting: List = []  # backoff retries not yet ready
         self._published = 0.0
         self._started_at = 0.0
+        #: Undispatched uses of each private stream, over all workers.
+        self._stream_uses: Counter = Counter()
 
     # -- lifecycle -----------------------------------------------------------
     def _start_process(self, worker: _Worker) -> None:
@@ -229,6 +241,7 @@ class PoolExecutor:
         worker.proc.join()
         worker.current = None
         worker.deadline = None
+        worker.streams = set()
         worker.respawns += 1
         self.respawns += 1
         registry = self.run.progress.registry
@@ -272,14 +285,21 @@ class PoolExecutor:
         return item
 
     def _dispatch(self, worker: _Worker, item) -> None:
+        # Streams no undispatched job needs are freed once this job is done.
+        keys = self.run.stream_keys(item)
+        self._stream_uses.subtract(keys)
+        worker.streams.update(keys)
+        drop = [key for key in worker.streams if self._stream_uses[key] <= 0]
         try:
             worker.to_worker.send(("job", item.jid, item.job, item.attempt,
-                                   self.run._telemetry_target(item)))
+                                   self.run._telemetry_target(item), drop))
         except (BrokenPipeError, OSError):
             # The worker died between jobs; put the item back and refork.
+            self._stream_uses.update(keys)
             worker.queue.appendleft(item)
             self._respawn(worker)
             return
+        worker.streams.difference_update(drop)
         worker.current = item
         worker.dispatched_at = time.monotonic()
         worker.deadline = (worker.dispatched_at + self.run.timeout
@@ -295,6 +315,7 @@ class PoolExecutor:
 
     def _requeue(self, item) -> None:
         """Park a retry until its backoff delay elapses."""
+        self._stream_uses.update(self.run.stream_keys(item))
         self._waiting.append(item)
 
     def _release_ready(self) -> None:
@@ -496,6 +517,7 @@ class PoolExecutor:
         # Static round-robin seeding — the distribution stealing repairs.
         for position, item in enumerate(pending):
             self.workers[position % self.processes].queue.append(item)
+            self._stream_uses.update(self.run.stream_keys(item))
         try:
             while True:
                 self._release_ready()

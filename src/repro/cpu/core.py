@@ -11,7 +11,11 @@ paper's metrics need (IPC, MR, AMAT), while staying fast in pure Python.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.branch import make_predictor
+from repro.branch.base import BranchStats
+from repro.cache.cache import CacheStats
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import CoreConfig
 from repro.trace.packed import (
@@ -77,6 +81,23 @@ class CoreStats:
         }
 
 
+class PrivateCounters(NamedTuple):
+    """The private-side statistics a result reports for one core.
+
+    A lockstep :class:`Core` reads them off its live caches and predictor;
+    a replayed core (:mod:`repro.sim.private`) rebuilds them from its
+    recorded private stream.
+    """
+
+    l1d: CacheStats
+    l2: CacheStats
+    branch: BranchStats
+    #: Prefetches issued since the core was built (never reset).
+    prefetch_issued: int
+    #: Demand hits on prefetched blocks in L1I, L1D and L2.
+    prefetch_useful: int
+
+
 class Core:
     """One core: executes trace records against its memory hierarchy."""
 
@@ -102,6 +123,22 @@ class Core:
         if self.cycle == 0:
             return 0.0
         return self.stats.instructions / self.cycle
+
+    def reset_stats(self) -> None:
+        """Warm-up boundary: clear retirement and predictor statistics."""
+        self.stats = CoreStats()
+        self.predictor.stats.reset()
+
+    def private_counters(self) -> PrivateCounters:
+        """This core's private-side statistics, read from the live state."""
+        hierarchy = self.hierarchy
+        return PrivateCounters(
+            l1d=hierarchy.l1d.stats, l2=hierarchy.l2.stats,
+            branch=self.predictor.stats,
+            prefetch_issued=hierarchy.prefetch_issued(),
+            prefetch_useful=(hierarchy.l1i.stats.prefetch_useful
+                             + hierarchy.l1d.stats.prefetch_useful
+                             + hierarchy.l2.stats.prefetch_useful))
 
     def execute(self, record: TraceRecord) -> None:
         """Retire one instruction, advancing the core clock.

@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.engine import CampaignReport, RetryPolicy, run_campaign
@@ -57,7 +58,8 @@ from repro.experiments import (
 from repro.experiments.contexts import ContextBundle
 from repro.experiments.suites import CASE_STUDY_SUITE, FIG10_SUITE
 from repro.sim import ExperimentScale, SimulationResult, adversary_panel
-from repro.sim.batch import Job
+from repro.sim.batch import Job, job_stream_keys
+from repro.sim.private import PrivateStreamMemo
 from repro.trace.store import MemoryTraceStore
 
 __all__ = [
@@ -114,7 +116,7 @@ class PlannedJob:
     config: MachineConfig
     scale: ExperimentScale
 
-    @property
+    @cached_property
     def id(self) -> str:
         """The deterministic campaign id this job will execute under."""
         return job_id(self.job, self.config, self.scale)
@@ -313,14 +315,24 @@ def execute_plan(
     is inserted at the midpoint of the first context group, for
     resumability drills. ``shard=(i, n)`` partitions each context group
     deterministically across machines.
+
+    One :class:`~repro.sim.private.PrivateStreamMemo` spans every context
+    of an inline execution: contexts that differ only on the shared side
+    (an LLC variant of Fig 11, say) replay the same private streams, and
+    each stream is freed after the last job, in any context, that reads
+    it.
     """
     processes = 1 if processes is None else processes
     if trace_store is None and timeout_seconds is None and processes <= 1:
         trace_store = MemoryTraceStore()
 
     groups: Dict[str, Tuple[MachineConfig, ExperimentScale, List[Job]]] = {}
+    keys: Dict[Tuple[int, int], str] = {}  # by identity: plans share objects
     for item in plan.unique:
-        key = _context_key(item.config, item.scale)
+        ident = (id(item.config), id(item.scale))
+        key = keys.get(ident)
+        if key is None:
+            key = keys[ident] = _context_key(item.config, item.scale)
         if key not in groups:
             groups[key] = (item.config, item.scale, [])
         groups[key][2].append(item.job)
@@ -329,6 +341,10 @@ def execute_plan(
     if store is not None:
         result_store = (store if isinstance(store, ResultStore)
                         else ResultStore(store))
+    private_memo = PrivateStreamMemo()
+    private_memo.expect(key for config, scale, jobs in groups.values()
+                        for job in jobs
+                        for key in job_stream_keys(job, config, scale))
 
     results_by_id: Dict[str, SimulationResult] = {}
     reports: List[CampaignReport] = []
@@ -352,6 +368,7 @@ def execute_plan(
             progress=progress,
             raise_on_failure=raise_on_failure,
             trace_store=trace_store,
+            private_memo=private_memo,
         )
         reports.append(report)
         results_by_id.update(report.results_by_id)

@@ -41,11 +41,11 @@ from repro.sim.session import (
     DEFAULT_SAMPLE_INTERVAL,
     MultiCoreStepper,
     SessionBuilder,
+    core_stream,
     drive,
     finalise_result,
     finish,
 )
-from repro.trace.packed import PackedTrace, as_packed
 from repro.trace.record import Trace
 
 __all__ = [
@@ -54,11 +54,6 @@ __all__ = [
     "simulate_multiprogrammed",
     "simulate_pair",
 ]
-
-
-def _offset_packed(trace, core_id: int) -> PackedTrace:
-    """Columns shifted into a per-core address space (zero-copy for core 0)."""
-    return as_packed(trace).offset(core_id * ADDRESS_SPACE_STRIDE)
 
 
 def simulate_multiprogrammed(
@@ -72,6 +67,7 @@ def simulate_multiprogrammed(
     repartition_interval: int = 5_000,
     pinte=None,
     observe: Optional[Observation] = None,
+    private_streams: Optional[list] = None,
 ) -> List[SimulationResult]:
     """Run ``traces[0]`` with ``traces[1:]`` as concurrent contention sources.
 
@@ -88,19 +84,26 @@ def simulate_multiprogrammed(
     ``pinte`` (a :class:`~repro.core.pinte_config.PinteConfig`) layers
     induced contention on top of the co-runners — the hybrid context; all
     results report ``mode="hybrid"`` and carry ``p_induce``.
+
+    ``private_streams`` (one :class:`~repro.sim.private.PrivateStream` per
+    trace, in the same order) replays recorded private stages instead of
+    walking each core's private caches; results are bit-identical.
     """
     if len(traces) < 2:
         raise ValueError("multi-programmed simulation needs at least 2 traces")
     n_cores = len(traces)
-    streams = [_offset_packed(trace, core_id)
-               for core_id, trace in enumerate(traces)]
+    streams = ([stream.packed for stream in private_streams]
+               if private_streams is not None else
+               [core_stream(trace, core_id)
+                for core_id, trace in enumerate(traces)])
     # Empty streams are rejected before any resource assembly or per-core
     # column binding, so a bad mix cannot leave a half-built session.
     for trace, stream in zip(traces, streams):
         if not len(stream):
             raise ValueError(f"trace {trace.name!r} is empty")
 
-    builder = SessionBuilder(config, seed=seed).with_pinte(pinte)
+    builder = (SessionBuilder(config, seed=seed).with_pinte(pinte)
+               .with_private_streams(private_streams))
     if partitioner is not None:
         builder.with_partitioner(partitioner, repartition_interval)
     session = builder.with_observation(observe).build_timing(n_cores)
@@ -145,6 +148,7 @@ def simulate_pair(
     return_secondary: bool = False,
     pinte=None,
     observe: Optional[Observation] = None,
+    private_streams: Optional[list] = None,
 ) -> SimulationResult:
     """Run ``primary`` with ``secondary`` as the contention source.
 
@@ -161,6 +165,7 @@ def simulate_pair(
         seed=seed,
         pinte=pinte,
         observe=observe,
+        private_streams=private_streams,
     )
     result = results[0]
     result.co_runner = secondary.name

@@ -45,6 +45,7 @@ def simulate(
     observe: Optional[Observation] = None,
     partitioner=None,
     repartition_interval: int = 5_000,
+    private_streams: Optional[list] = None,
 ) -> SimulationResult:
     """Run one workload alone (optionally under PInTE contention).
 
@@ -68,8 +69,14 @@ def simulate(
     installs per-owner LLC way quotas, re-evaluated every
     ``repartition_interval`` measured instructions — useful for studying a
     partitioning scheme's overhead on a workload running alone.
+
+    ``private_streams`` (a one-item list holding the trace's
+    :class:`~repro.sim.private.PrivateStream`) replays its recorded private
+    stage instead of walking the private caches; results are
+    bit-identical.
     """
-    builder = SessionBuilder(config, seed=seed).with_pinte(pinte)
+    builder = (SessionBuilder(config, seed=seed).with_pinte(pinte)
+               .with_private_streams(private_streams))
     if partitioner is not None:
         builder.with_partitioner(partitioner, repartition_interval)
     session = builder.with_observation(observe).build_timing(1)

@@ -11,7 +11,11 @@ Wall-clock metrics (Table I and the n-core study render per-run seconds)
 would differ between runs on a real clock, so both sides run under a
 deterministic fake ``time.perf_counter`` that advances a fixed step per
 call: durations become step x call-count, which is identical for
-identical simulations regardless of execution order or host load.
+identical simulations regardless of execution order or host load. The
+registry path also replays memoised private stages, which the serial
+drivers never do; their build clock (``time.monotonic``) stands still
+under the fake, so Table I's memo-off column equals the measured one on
+both sides.
 """
 
 from __future__ import annotations
@@ -72,13 +76,15 @@ class FakeClock:
 
 @contextmanager
 def fake_perf_counter():
-    """Swap ``time.perf_counter`` for the deterministic fake."""
-    real = time.perf_counter
+    """Swap ``time.perf_counter`` for the deterministic fake and stop the
+    private-stream build clock."""
+    real, real_monotonic = time.perf_counter, time.monotonic
     time.perf_counter = FakeClock()
+    time.monotonic = lambda: 0.0
     try:
         yield
     finally:
-        time.perf_counter = real
+        time.perf_counter, time.monotonic = real, real_monotonic
 
 
 @pytest.fixture(scope="module")

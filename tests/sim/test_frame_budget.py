@@ -7,7 +7,9 @@ small ``simulate(pinte=...)`` run and the same PInTE run with event tracing
 on, so any added or removed call on that path shows up here. The first two
 run with observation off and so pin what the hooks cost when nothing
 observes; the third pins what tracing costs and how many events it records.
-After an intended change, re-pin with
+A fourth, an inline campaign of the 12-point PInTE sweep, pins what the
+private-stream memo saves: one private stage replayed through twelve shared
+stages. After an intended change, re-pin with
 ``PYTHONPATH=src python scripts/frame_budget.py --update``.
 """
 
@@ -15,7 +17,13 @@ import json
 import sys
 from pathlib import Path
 
+from collections import Counter
+
 import pytest
+
+from repro.config import scaled_config
+from repro.sim.batch import run_job
+from repro.trace.store import MemoryTraceStore
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -55,3 +63,24 @@ def test_traced_run_records_events():
     assert traced["events"] > 0
     assert traced["calls"]["obs"] > plain["calls"]["obs"]
     assert "events" not in plain and "events" not in PINNED["pair"]
+
+
+def test_sweep_runs_one_private_stage_and_every_shared_stage():
+    # The memoised sweep replays one private stage through 12 shared
+    # stages: its engine, tracker and DRAM calls are exactly those of the
+    # 12 runs alone, while the private levels run about once.
+    config = scaled_config()
+    traces = MemoryTraceStore()
+    alone: Counter = Counter()
+    for job in frame_budget.SWEEP_JOBS:
+        _result, calls = frame_budget.profile_calls(
+            lambda: [run_job(job, config, frame_budget.SWEEP_SCALE,
+                             trace_store=traces)])
+        alone.update(calls)
+    sweep = PINNED["pinte-sweep"]["calls"]
+    for layer in ("pinte", "tracker", "dram"):
+        assert sweep[layer] == alone[layer], layer
+    runs = len(frame_budget.SWEEP_JOBS)
+    assert sweep["branch"] < 2 * alone["branch"] / runs
+    for layer in ("cache", "replacement", "hierarchy"):
+        assert sweep[layer] < alone[layer] * 2 / 3, layer

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim import simulate, simulate_pair
-from repro.sim.multicore import ADDRESS_SPACE_STRIDE, _offset_packed, all_pairs
+from repro.sim.multicore import ADDRESS_SPACE_STRIDE, all_pairs
+from repro.sim.session import core_stream
 from repro.trace import Trace, TraceRecord, build_trace, get_workload
 
 
@@ -61,10 +62,10 @@ class TestPairRun:
 class TestAddressSpaces:
     def test_core0_unchanged(self, lbm_trace):
         # Zero offset is a zero-copy passthrough of the packed columns.
-        assert _offset_packed(lbm_trace, 0) is lbm_trace.packed()
+        assert core_stream(lbm_trace, 0) is lbm_trace.packed()
 
     def test_core1_offset(self, lbm_trace):
-        offset = _offset_packed(lbm_trace, 1)
+        offset = core_stream(lbm_trace, 1)
         for original, shifted in zip(lbm_trace.records[:100],
                                      offset.records[:100]):
             assert shifted.pc == original.pc + ADDRESS_SPACE_STRIDE
@@ -72,7 +73,7 @@ class TestAddressSpaces:
                 assert shifted.load_addr == original.load_addr + ADDRESS_SPACE_STRIDE
 
     def test_flags_preserved(self, lbm_trace):
-        offset = _offset_packed(lbm_trace, 1)
+        offset = core_stream(lbm_trace, 1)
         assert offset.flags == lbm_trace.packed().flags
 
     def test_same_workload_can_pair_with_itself(self, config, gromacs_trace):
