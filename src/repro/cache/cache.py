@@ -10,6 +10,7 @@ in :mod:`repro.cache.hierarchy`; the contention accounting lives in
 
 from __future__ import annotations
 
+import copy
 from typing import List, NamedTuple, Optional
 
 from repro.cache.replacement import POLICIES, make_policy
@@ -359,7 +360,10 @@ class Cache:
         return info
 
     def invalidate_way(self, set_index: int, way: int) -> Optional[EvictedBlock]:
-        """Drop a block by position (the PInTE engine's INVALIDATE state)."""
+        """Drop a block by position; returns its state for write-back.
+
+        The PInTE engine's INVALIDATE pass does the same inline, per trigger.
+        """
         state = self.state
         index = set_index * self.assoc + way
         if not state.valid[index]:
@@ -369,12 +373,7 @@ class Cache:
         info = _new_tuple(EvictedBlock, (tag, state.dirty[index] != 0, owner,
                                          state.prefetched[index] != 0))
         self._tags[set_index].pop(tag, None)
-        # state.clear, inlined (PInTE's INVALIDATE path is hot).
-        state.valid[index] = 0
-        state.dirty[index] = 0
-        state.prefetched[index] = 0
-        state.total_valid -= 1
-        state.owner_counts[owner] -= 1
+        state.clear(index)
         self.stats.invalidations += 1
         if self._events is not None:
             self._events.record("invalidate", set_index, way, owner,
@@ -399,6 +398,52 @@ class Cache:
         """Number of valid blocks (optionally for one owner) — O(1), read
         from the state layer's incrementally-maintained counters."""
         return self.state.occupancy(owner)
+
+    # -- invariants -------------------------------------------------------------
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` on the first broken structural invariant.
+
+        Checks that each set's tag map holds exactly its valid blocks, that
+        the incremental occupancy counters match a full scan, and that the
+        policy's eviction order is a permutation of the ways. The order is
+        read from a copy of the policy, so a policy whose read-out draws
+        random numbers keeps its stream. O(n_sets x assoc): for tests and
+        debugging, not simulation loops.
+        """
+        state = self.state
+        assoc = self.assoc
+        tags = state.tags
+        valid = state.valid
+        for set_index, tag_map in enumerate(self._tags):
+            base = set_index * assoc
+            expected = {tags[base + way]: way for way in range(assoc)
+                        if valid[base + way]}
+            if tag_map != expected:
+                raise AssertionError(
+                    f"{self.name}: set {set_index} tag map {tag_map} != "
+                    f"valid tags {expected}")
+        if state.total_valid != state.scan_occupancy():
+            raise AssertionError(
+                f"{self.name}: total_valid {state.total_valid} != "
+                f"scanned {state.scan_occupancy()}")
+        owners = set(state.owner_counts)
+        owners.update(state.owners[index] for index, bit in enumerate(valid)
+                      if bit)
+        for owner in sorted(owners):
+            counted = state.owner_counts.get(owner, 0)
+            scanned = state.scan_occupancy(owner)
+            if counted != scanned:
+                raise AssertionError(
+                    f"{self.name}: owner {owner} count {counted} != "
+                    f"scanned {scanned}")
+        policy = copy.deepcopy(self.policy)
+        ways = list(range(assoc))
+        for set_index in range(self.n_sets):
+            order = policy.eviction_order(set_index)
+            if sorted(order) != ways:
+                raise AssertionError(
+                    f"{self.name}: set {set_index} eviction order {order} "
+                    f"is not a permutation of the ways")
 
     @property
     def capacity_blocks(self) -> int:

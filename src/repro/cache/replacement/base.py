@@ -6,9 +6,10 @@ usual ``victim`` / ``on_hit`` / ``on_insert`` hooks every policy must expose:
 
 * :meth:`eviction_order_into` — ways ordered most-evictable first (the
   "replacement stack" read out from its eviction end), written into a
-  caller-owned buffer so the per-event hot paths never allocate;
+  caller-owned buffer the per-event hot paths reuse;
 * :meth:`promote` — move one way to the most-protected position, as if the
-  adversary had just accessed it; and
+  adversary had just accessed it (:meth:`promote_all` promotes a trigger's
+  selected ways in walk order, in one call); and
 * :meth:`hit_position` — a hit way's distance from the protected end, the
   quantity the reuse histograms (paper Fig 5) record on every tracked hit.
 
@@ -63,7 +64,7 @@ class ReplacementPolicy:
     def eviction_order_into(self, set_index: int,
                             out: List[int]) -> List[int]:
         """Write all ways, most-evictable first, into ``out`` (length
-        ``n_ways``); returns ``out``. Must not allocate per call."""
+        ``n_ways``); returns ``out``."""
         raise NotImplementedError
 
     def eviction_order(self, set_index: int) -> List[int]:
@@ -73,6 +74,13 @@ class ReplacementPolicy:
     def promote(self, set_index: int, way: int) -> None:
         """Move ``way`` to the most-protected position (adversary access)."""
         raise NotImplementedError
+
+    def promote_all(self, set_index: int, ways: List[int]) -> None:
+        """:meth:`promote` each of ``ways`` in order (one PInTE trigger's
+        PROMOTE pass). Policies with a cheaper bulk form override this."""
+        promote = self.promote
+        for way in ways:
+            promote(set_index, way)
 
     def hit_position(self, set_index: int, way: int) -> int:
         """Replacement-stack position of ``way`` from the protected end

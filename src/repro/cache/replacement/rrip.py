@@ -7,6 +7,10 @@ from typing import List
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.state import CacheSetState
 
+#: Byte translation ``v -> 255 - v``: ascending order of the translated
+#: RRPVs is descending RRPV order.
+_INVERT = bytes(range(255, -1, -1))
+
 
 class RripPolicy(ReplacementPolicy):
     """SRRIP with ``m``-bit re-reference prediction values (RRPV).
@@ -42,6 +46,11 @@ class RripPolicy(ReplacementPolicy):
     def promote(self, set_index: int, way: int) -> None:
         self._rrpv[set_index][way] = 0
 
+    def promote_all(self, set_index: int, ways: List[int]) -> None:
+        rrpv = self._rrpv[set_index]
+        for way in ways:
+            rrpv[way] = 0
+
     def _victim_valid(self, set_index: int, state: CacheSetState) -> int:
         # RRPVs never exceed max_rrpv, so "first way at max RRPV" is an
         # exact byte search; when none matches, one ageing step of
@@ -60,20 +69,9 @@ class RripPolicy(ReplacementPolicy):
     def eviction_order_into(self, set_index: int, out: List[int]) -> List[int]:
         """Ways sorted by descending RRPV (most distant re-reference first);
         ties broken by way index, matching hardware scan order."""
-        rrpv = self._rrpv[set_index]
-        n_ways = self.n_ways
-        position = 0
-        # Counting sort over the (tiny) RRPV value range: for each value from
-        # most to least distant, emit matching ways in index order via the
-        # C-speed byte search.
-        for value in range(self.max_rrpv, -1, -1):
-            way = rrpv.find(value)
-            while way >= 0:
-                out[position] = way
-                position += 1
-                way = rrpv.find(value, way + 1)
-            if position == n_ways:
-                break
+        # One stable C-level sort keyed on the inverted RRPV bytes.
+        out[:] = sorted(range(self.n_ways),
+                        key=self._rrpv[set_index].translate(_INVERT).__getitem__)
         return out
 
     def hit_position(self, set_index: int, way: int) -> int:

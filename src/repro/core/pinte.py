@@ -5,7 +5,9 @@ LLC (**UPDATE-ACCESS** is the normal replacement update, already done by the
 cache), the engine:
 
 1. **GEN-PROBABILITY** — draws ``trigger_ratio = rand / rand_max`` (Eq. 2)
-   and exits unless ``trigger_ratio <= P_induce``.
+   and exits unless ``trigger_ratio <= P_induce``. The comparison is made
+   on the raw draw against :func:`~repro.util.rng.ratio_threshold`, computed
+   once, which gives the same outcome for every draw.
 2. **GEN-EVICT-CNT** — draws ``Blocks_evict`` uniformly in
    ``[0, associativity]`` and initialises the way counter.
 3. **BLOCK-SELECT** — walks blocks from the eviction end of the replacement
@@ -20,7 +22,21 @@ cache), the engine:
 6. **DECREMENT** — counts down ``Blocks_evict``; loops to BLOCK-SELECT or
    exits when the count reaches zero or the set is exhausted.
 
-The engine is policy-agnostic: it only uses the two PInTE hooks every
+Each trigger runs steps 3-6 in three passes rather than way by way:
+BLOCK-SELECT + DECREMENT take the first ``Blocks_evict`` ways of the
+eviction order as one slice (the first ``Blocks_evict`` *valid* ways when
+``promote_invalid`` is off); PROMOTE is one
+:meth:`~repro.cache.replacement.base.ReplacementPolicy.promote_all` call,
+which promotes them in walk order; INVALIDATE is one loop over the selected
+ways that acts on the valid ones, keeping the per-way order of write-back
+callback, event records, back-invalidation and theft accounting. The passes
+equal the per-way walk exactly: the order is read once before any
+promotion, PROMOTE touches only policy state (a random policy's RNG
+included, drawn in the same order) and INVALIDATE touches only cache,
+tracker and DRAM state, so neither pass reads what the other writes.
+``tests/core/test_pinte_differential.py`` checks this against a per-way walk.
+
+The engine is policy-agnostic: it only uses the PInTE hooks every
 :class:`~repro.cache.replacement.base.ReplacementPolicy` provides.
 """
 
@@ -32,7 +48,7 @@ from repro.owners import SYSTEM_OWNER
 from repro.cache.cache import Cache
 from repro.core.counters import ContentionTracker
 from repro.core.pinte_config import PinteConfig
-from repro.util.rng import DeterministicRng
+from repro.util.rng import MAX_RANDOM, DeterministicRng, ratio_threshold
 
 __all__ = ["PInTE", "PinteStats"]
 
@@ -91,11 +107,14 @@ class PInTE:
         self._events = None
         self.stats = PinteStats()
         self._rng = DeterministicRng(config.seed, "pinte")
-        self._max_evictions = config.max_evictions or llc.assoc
-        # Per-access hot-path bindings (PinteConfig is frozen, so p_induce
-        # cannot change under us).
-        self._p_induce = config.p_induce
-        self._trigger_ratio = self._rng.trigger_ratio
+        # Per-access hot-path bindings (PinteConfig is frozen, so they
+        # cannot change under us): the raw-draw threshold of GEN-PROBABILITY
+        # and the ``randint(0, max_evictions)`` bounds of GEN-EVICT-CNT.
+        self._getrandbits = self._rng._getrandbits
+        self._threshold = ratio_threshold(config.p_induce)
+        self._evict_bound = (config.max_evictions or llc.assoc) + 1
+        self._evict_bits = self._evict_bound.bit_length()
+        self._promote_invalid = config.promote_invalid
         # Reusable BLOCK-SELECT walk buffer: the eviction order is read out
         # once per trigger without allocating a list per event.
         self._order_scratch: List[int] = [0] * llc.assoc
@@ -109,94 +128,112 @@ class PInTE:
         stats = self.stats
         stats.accesses_seen += 1
         # GEN-PROBABILITY (Eq. 2): exit unless the trigger ratio falls at or
-        # below the configured induction probability.
-        if self._trigger_ratio() > self._p_induce:
+        # below P_induce, i.e. unless the raw draw is at most the threshold.
+        # The draw is ``randint(0, MAX_RANDOM)`` with CPython's rejection
+        # loop inlined, as in DeterministicRng.trigger_ratio.
+        rng = self._rng
+        rng.draws += 1
+        getrandbits = self._getrandbits
+        value = getrandbits(31)
+        while value > MAX_RANDOM:
+            value = getrandbits(31)
+        if value > self._threshold:
             return 0
         stats.triggers += 1
         self.tracker.record_trigger(accessing_owner)
 
-        # GEN-EVICT-CNT: number of contention events for this trigger.
-        blocks_evict = self._rng.randint(0, self._max_evictions)
+        # GEN-EVICT-CNT: ``randint(0, max_evictions)``, inlined the same way
+        # (``_randbelow(max_evictions + 1)``).
+        rng.draws += 1
+        bound = self._evict_bound
+        bits = self._evict_bits
+        blocks_evict = getrandbits(bits)
+        while blocks_evict >= bound:
+            blocks_evict = getrandbits(bits)
         stats.evict_draws_total += blocks_evict
         if blocks_evict == 0:
             return 0
         return self._induce(set_index, blocks_evict, cycle)
 
     def _induce(self, set_index: int, blocks_evict: int, cycle: int) -> int:
-        """BLOCK-SELECT / PROMOTE / INVALIDATE / DECREMENT loop."""
+        """BLOCK-SELECT + DECREMENT, then PROMOTE, then INVALIDATE."""
         llc = self.llc
         state = llc.state
         policy = llc.policy
-        stats = self.stats
-        tracker = self.tracker
-        promote = policy.promote
         base = set_index * llc.assoc
         valid = state.valid
+        # BLOCK-SELECT + DECREMENT: the first ``Blocks_evict`` ways from the
+        # eviction end of the replacement stack. The order is captured once:
+        # promotions move processed blocks to the protected end, which in
+        # hardware means the walk pointer only ever advances (the way
+        # counter ``w`` in the paper's flow).
+        order = policy.eviction_order_into(set_index, self._order_scratch)
+        if self._promote_invalid:
+            selected = order[:blocks_evict]
+        else:
+            # Ablation: invalid ways are skipped, not counted.
+            selected = [way for way in order if valid[base + way]]
+            del selected[blocks_evict:]
+            if not selected:
+                return 0
+        # PROMOTE: the adversary "accesses" every selected way, in walk
+        # order. The SYSTEM counters are bound only now, so a walk that
+        # selects nothing leaves tracker.owners untouched.
+        policy.promote_all(set_index, selected)
+        promoted = len(selected)
+        stats = self.stats
+        stats.promotions += promoted
+        tracker = self.tracker
+        tracker.counters(SYSTEM_OWNER).induced_promotions += promoted
+        # INVALIDATE: the induced thefts, on the selected ways that were
+        # valid. Promotion touched only policy state and this loop touches
+        # only cache, tracker and DRAM state, so running the two as
+        # separate passes equals the per-way interleaving of Fig 4.
         dirty = state.dirty
         tags = state.tags
         owners = state.owners
+        prefetched = state.prefetched
+        owner_counts = state.owner_counts
         tag_map = llc._tags[set_index]
-        promote_invalid = self.config.promote_invalid
+        writeback = self.writeback
+        back_invalidate = self.back_invalidate
         events = self._events
         invalidated = 0
-        # The adversary's counters, bound on first use (not eagerly, so a
-        # walk that promotes nothing — promote_invalid=False on an empty
-        # set — leaves tracker.owners exactly as the un-inlined code would).
-        system_counters = None
-        # BLOCK-SELECT walks from the eviction end of the replacement stack.
-        # The order is captured once: promotions move processed blocks to the
-        # protected end, which in hardware means the walk pointer only ever
-        # advances (the way counter ``w`` in the paper's flow).
-        order = policy.eviction_order_into(set_index, self._order_scratch)
-        for way in order:
-            if blocks_evict == 0:
-                break  # DECREMENT reached zero -> exit
+        for way in selected:
             index = base + way
-            is_valid = valid[index]
-            if not is_valid and not promote_invalid:
-                continue  # ablation: skip mocked thefts entirely
-            # PROMOTE: the adversary "accesses" this way.
-            promote(set_index, way)
-            stats.promotions += 1
-            if system_counters is None:
-                system_counters = tracker.counters(SYSTEM_OWNER)
-            system_counters.induced_promotions += 1
-            if is_valid:
-                # INVALIDATE: this is the induced theft. The cache's
-                # invalidate_way is inlined (no EvictedBlock — the engine
-                # reads the metadata it needs straight from the state).
-                block_addr = tags[index]
-                victim_owner = owners[index]
-                if dirty[index]:
-                    stats.dirty_writebacks += 1
-                    if self.writeback is not None:
-                        self.writeback(block_addr, cycle)
-                    dirty[index] = 0
-                    if events is not None:
-                        events.record("writeback", set_index, way,
-                                      victim_owner, "pinte", block_addr)
-                tag_map.pop(block_addr, None)
-                valid[index] = 0
-                state.prefetched[index] = 0
-                state.total_valid -= 1
-                state.owner_counts[victim_owner] -= 1
-                llc.stats.invalidations += 1
-                invalidated += 1
-                stats.invalidations += 1
-                if victim_owner != SYSTEM_OWNER:
-                    tracker.record_theft(
-                        victim_owner, SYSTEM_OWNER, block_addr, induced=True
-                    )
+            if not valid[index]:
                 if events is not None:
-                    events.record("theft", set_index, way, victim_owner,
-                                  "pinte", block_addr)
-                if self.back_invalidate is not None:
-                    self.back_invalidate(block_addr, cycle)
-            elif events is not None:
-                # Promotion of an invalid block is the mocked theft of
-                # Fig 2b -- the way now looks like a fresh adversary
-                # insertion.
-                events.record("promote", set_index, way, SYSTEM_OWNER,
-                              "mocked-theft", 0)
-            blocks_evict -= 1  # DECREMENT
+                    # Promotion of an invalid block is the mocked theft of
+                    # Fig 2b -- the way now looks like a fresh adversary
+                    # insertion.
+                    events.record("promote", set_index, way, SYSTEM_OWNER,
+                                  "mocked-theft", 0)
+                continue
+            block_addr = tags[index]
+            victim_owner = owners[index]
+            if dirty[index]:
+                stats.dirty_writebacks += 1
+                if writeback is not None:
+                    writeback(block_addr, cycle)
+                dirty[index] = 0
+                if events is not None:
+                    events.record("writeback", set_index, way,
+                                  victim_owner, "pinte", block_addr)
+            tag_map.pop(block_addr, None)
+            valid[index] = 0
+            prefetched[index] = 0
+            owner_counts[victim_owner] -= 1
+            invalidated += 1
+            if victim_owner != SYSTEM_OWNER:
+                tracker.record_theft(
+                    victim_owner, SYSTEM_OWNER, block_addr, induced=True
+                )
+            if events is not None:
+                events.record("theft", set_index, way, victim_owner,
+                              "pinte", block_addr)
+            if back_invalidate is not None:
+                back_invalidate(block_addr, cycle)
+        state.total_valid -= invalidated
+        llc.stats.invalidations += invalidated
+        stats.invalidations += invalidated
         return invalidated

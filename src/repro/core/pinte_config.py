@@ -64,6 +64,10 @@ class PinteConfig(ConfigSerde):
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_induce <= 1.0:
             raise ValueError(f"p_induce must be in [0, 1], got {self.p_induce}")
+        for name in ("max_evictions", "period_cycles"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.max_evictions < 0:
             raise ValueError("max_evictions must be non-negative")
         if self.trigger not in TRIGGER_MODES:

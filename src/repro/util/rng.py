@@ -15,6 +15,27 @@ import random
 MAX_RANDOM = (1 << 30) - 1
 
 
+def ratio_threshold(p: float) -> int:
+    """Largest raw draw ``v`` in ``[0, MAX_RANDOM]`` with
+    ``v / MAX_RANDOM <= p`` (-1 when there is none, i.e. ``p < 0``).
+
+    Float division is monotone in ``v``, so ``v / MAX_RANDOM <= p`` holds
+    exactly for ``v <= ratio_threshold(p)``: comparing the raw draw with the
+    threshold gives the same outcome as comparing the Eq. 2 ratio with ``p``,
+    without a division per draw.
+    """
+    if p < 0.0:
+        return -1
+    if p >= 1.0:
+        return MAX_RANDOM
+    value = int(p * MAX_RANDOM)
+    while value < MAX_RANDOM and (value + 1) / MAX_RANDOM <= p:
+        value += 1
+    while value >= 0 and value / MAX_RANDOM > p:
+        value -= 1
+    return value
+
+
 class DeterministicRng:
     """A seeded random stream with the draw primitives the simulator needs.
 
@@ -37,8 +58,9 @@ class DeterministicRng:
         sampling inlined: ``randint`` resolves to ``_randbelow(2**30)``,
         which draws ``getrandbits(31)`` until the value is below ``2**30``.
         Replicating that loop here keeps the random stream bit-identical to
-        the ``randint`` call while skipping three frame pushes per draw —
-        this is the hottest RNG call in the simulator (once per LLC access).
+        the ``randint`` call while skipping three frame pushes per draw. The
+        PInTE engine inlines the same loop in its per-access path and
+        compares the raw draw with :func:`ratio_threshold` instead.
         """
         self.draws += 1
         getrandbits = self._getrandbits

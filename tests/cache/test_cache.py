@@ -230,3 +230,53 @@ class TestTagMapConsistency:
             for way, block in enumerate(blocks):
                 if block.valid:
                     assert cache.probe(block.tag) == way
+
+
+class TestCheckInvariants:
+    def churned(self, policy="lru"):
+        cache = make_cache(size=8 * BLOCK, assoc=4, policy=policy)
+        for rounds in range(3):
+            for index in range(20):
+                address = index * BLOCK
+                if not cache.access(address, rounds % 2 == 0, index % 3):
+                    cache.fill(address, index % 3)
+                if index % 3 == 0:
+                    cache.invalidate(address)
+        return cache
+
+    @pytest.mark.parametrize("policy", ["lru", "plru", "nmru", "rrip",
+                                        "drrip", "random"])
+    def test_holds_after_normal_operation(self, policy):
+        self.churned(policy).check_invariants()
+
+    def test_stale_tag_map_entry(self):
+        cache = self.churned()
+        cache._tags[0][12345 * BLOCK] = 0
+        with pytest.raises(AssertionError, match="tag map"):
+            cache.check_invariants()
+
+    def test_total_valid_drift(self):
+        cache = self.churned()
+        cache.state.total_valid += 1
+        with pytest.raises(AssertionError, match="total_valid"):
+            cache.check_invariants()
+
+    def test_owner_count_drift(self):
+        cache = self.churned()
+        cache.state.owner_counts[1] += 1
+        with pytest.raises(AssertionError, match="owner 1 count"):
+            cache.check_invariants()
+
+    def test_eviction_order_not_a_permutation(self):
+        cache = self.churned()
+        stacks = cache.policy._stacks
+        stacks[1][0] = stacks[1][1]  # a duplicated way
+        with pytest.raises(AssertionError, match="not a permutation"):
+            cache.check_invariants()
+
+    def test_leaves_a_random_policy_stream_alone(self):
+        checked, unchecked = self.churned("random"), self.churned("random")
+        checked.check_invariants()
+        assert checked.policy._rng.draws == unchecked.policy._rng.draws
+        assert checked.policy.eviction_order(0) == (
+            unchecked.policy.eviction_order(0))

@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             PinteConfig(p_induce=0.5, max_evictions=-1)
 
+    @pytest.mark.parametrize("field", ["max_evictions", "period_cycles"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "8", None])
+    def test_non_int_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            PinteConfig(p_induce=0.5, **{field: value})
+
 
 class TestGenProbability:
     def test_zero_probability_never_triggers(self):

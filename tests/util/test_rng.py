@@ -1,6 +1,14 @@
 """Unit tests for the deterministic RNG."""
 
-from repro.util.rng import MAX_RANDOM, DeterministicRng
+import math
+import random
+
+import pytest
+
+from repro.cache.cache import Cache
+from repro.core import ContentionTracker, PInTE, PinteConfig
+from repro.core.pinte_config import PAPER_PINDUCE_SWEEP
+from repro.util.rng import MAX_RANDOM, DeterministicRng, ratio_threshold
 
 
 class TestDeterminism:
@@ -39,6 +47,73 @@ class TestTriggerRatio:
         n = 5000
         mean = sum(rng.trigger_ratio() for _ in range(n)) / n
         assert 0.45 < mean < 0.55
+
+
+def _threshold_probes():
+    """p = 0, p = 1, each sweep point and k / MAX_RANDOM +- 1 ulp around
+    each sweep point's own threshold."""
+    probes = {0.0, 1.0, *PAPER_PINDUCE_SWEEP}
+    for p in PAPER_PINDUCE_SWEEP + (0.0, 1.0):
+        k = int(p * MAX_RANDOM)
+        for v in (k - 1, k, k + 1):
+            if 0 <= v <= MAX_RANDOM:
+                ratio = v / MAX_RANDOM
+                probes.update((ratio, math.nextafter(ratio, -1.0),
+                               math.nextafter(ratio, 2.0)))
+    return sorted(probes)
+
+
+class TestRatioThreshold:
+    @pytest.mark.parametrize("p", _threshold_probes())
+    def test_agrees_with_the_eq2_comparison(self, p):
+        threshold = ratio_threshold(p)
+        assert -1 <= threshold <= MAX_RANDOM
+        # Every draw up to the threshold triggers, every one above does not.
+        for v in (threshold - 1, threshold):
+            if v >= 0:
+                assert v / MAX_RANDOM <= p
+        if threshold < MAX_RANDOM:
+            assert (threshold + 1) / MAX_RANDOM > p
+
+    def test_end_points(self):
+        assert ratio_threshold(0.0) == 0
+        assert ratio_threshold(1.0) == MAX_RANDOM
+        assert ratio_threshold(-1e-9) == -1
+
+
+class TestEngineDraws:
+    """The engine inlines ``randint`` for GEN-PROBABILITY and GEN-EVICT-CNT;
+    its draws must equal ``random.Random.randint`` on this Python."""
+
+    @pytest.mark.parametrize("max_evictions", [1, 2, 3, 5, 8, 16, 17, 31])
+    def test_evict_count_matches_randint(self, max_evictions):
+        for seed in range(40):
+            llc = Cache("LLC", 4 * 2 * 64, 4, 64, latency=1)
+            engine = PInTE(PinteConfig(p_induce=1.0, seed=seed,
+                                       max_evictions=max_evictions),
+                           llc, ContentionTracker())
+            expected = random.Random(f"{seed}:pinte")
+            for _ in range(25):
+                before = engine.stats.evict_draws_total
+                engine.on_llc_access(0, 0, 0)
+                expected.randint(0, MAX_RANDOM)  # the trigger draw
+                assert (engine.stats.evict_draws_total - before
+                        == expected.randint(0, max_evictions))
+            assert engine._rng.draws == 50
+
+    def test_trigger_matches_randint(self):
+        for p in PAPER_PINDUCE_SWEEP:
+            llc = Cache("LLC", 4 * 2 * 64, 4, 64, latency=1)
+            engine = PInTE(PinteConfig(p_induce=p, seed=7), llc,
+                           ContentionTracker())
+            expected = random.Random("7:pinte")
+            for _ in range(400):
+                triggers = engine.stats.triggers
+                engine.on_llc_access(0, 0, 0)
+                fired = expected.randint(0, MAX_RANDOM) / MAX_RANDOM <= p
+                assert engine.stats.triggers - triggers == fired
+                if fired:
+                    expected.randint(0, llc.assoc)
 
 
 class TestDraws:
