@@ -9,9 +9,9 @@ SCALE = ExperimentScale(warmup_instructions=8_000, sim_instructions=24_000,
                         sample_interval=4_000)
 
 
-def test_fig10(benchmark, write_report):
+def test_fig10(benchmark, run_artifact, write_report):
     result = benchmark.pedantic(
-        lambda: fig10.run_fig10(names=FIG10_SUITE, scale=SCALE),
+        lambda: run_artifact("fig10", SCALE),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     write_report("fig10", fig10.format_report(result))

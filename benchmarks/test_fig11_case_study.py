@@ -7,19 +7,16 @@ contention grows, while speculative techniques (prefetching, branch
 prediction) keep their advantage.
 """
 
-from repro.config import scaled_config
 from repro.experiments import fig11
-from repro.experiments.suites import CASE_STUDY_SUITE
 from repro.sim import ExperimentScale
 
 SCALE = ExperimentScale(warmup_instructions=5_000, sim_instructions=20_000,
                         sample_interval=4_000)
 
 
-def test_fig11(benchmark, write_report):
+def test_fig11(benchmark, run_artifact, write_report):
     result = benchmark.pedantic(
-        lambda: fig11.run_fig11(scaled_config(), SCALE,
-                                workloads=CASE_STUDY_SUITE),
+        lambda: run_artifact("fig11", SCALE),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     write_report("fig11", fig11.format_report(result))

@@ -1,22 +1,18 @@
 """Bench for Fig 3 — PInTE stability across repeated runs.
 
 The paper re-runs 12 configurations 25 times each and finds normalised
-standard deviations near zero; the bench uses 5 repeats over a reduced
-sweep and checks the same bounds scale-adjusted.
+standard deviations near zero; the registry's ``fig3`` artifact runs 3
+repeats of 4 of the 12 configurations on the first four quick-suite
+workloads, and the bench checks the same bounds scale-adjusted.
 """
 
-from repro.core import PAPER_PINDUCE_SWEEP
 from repro.experiments import fig3
 from repro.experiments.suites import QUICK_SUITE
 
 
-def test_fig3(benchmark, bench_config, bench_scale, write_report):
+def test_fig3(benchmark, bench_scale, run_artifact, write_report):
     result = benchmark.pedantic(
-        lambda: fig3.run_fig3(
-            QUICK_SUITE, bench_config, bench_scale,
-            p_values=PAPER_PINDUCE_SWEEP[::2],  # 6 of the 12 configurations
-            n_repeats=5,
-        ),
+        lambda: run_artifact("fig3", bench_scale, suite=QUICK_SUITE),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     write_report("fig3", fig3.format_report(result))

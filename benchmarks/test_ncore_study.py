@@ -12,9 +12,9 @@ SCALE = ExperimentScale(warmup_instructions=6_000, sim_instructions=24_000,
                         sample_interval=4_000)
 
 
-def test_ncore_study(benchmark, bench_config, write_report):
+def test_ncore_study(benchmark, run_artifact, write_report):
     result = benchmark.pedantic(
-        lambda: ncore_study.run_ncore_study(bench_config, SCALE),
+        lambda: run_artifact("ncore_study", SCALE),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     write_report("ncore_study", ncore_study.format_report(result))

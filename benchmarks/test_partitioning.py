@@ -3,7 +3,9 @@
 Compares four LLC management schemes on a victim/aggressor pair — shared
 (no partitioning), static even ways, UCP, and CASHT-style theft-driven
 partitioning — reporting victim thefts, per-workload weighted IPC, system
-weighted speedup and fairness (the related-work axis of the paper).
+weighted speedup and fairness (the related-work axis of the paper). The
+registry's ``partition_study`` artifact repartitions every 4,000
+instructions.
 """
 
 from repro.experiments import partition_study
@@ -13,10 +15,9 @@ SCALE = ExperimentScale(warmup_instructions=8_000, sim_instructions=30_000,
                         sample_interval=5_000)
 
 
-def test_partitioning(benchmark, bench_config, write_report):
+def test_partitioning(benchmark, run_artifact, write_report):
     result = benchmark.pedantic(
-        lambda: partition_study.run_partition_study(
-            bench_config, SCALE, repartition_interval=5_000),
+        lambda: run_artifact("partition_study", SCALE),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     write_report("partition_study", partition_study.format_report(result))

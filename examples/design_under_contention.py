@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Case study: does your design choice survive contention? (paper Section VI)
 
-Compares LLC replacement policies (and optionally any other dimension from
-the Fig 11 driver) on a small workload suite at increasing ``P_induce`` and
-prints which option wins, by how much, and how often the result is a
-statistical tie — the paper's headline that isolation-tuned advantages
-dissolve in a contended LLC.
+Runs the registry's Fig 11 artifact — every design dimension on the
+case-study suite at increasing ``P_induce`` — and prints, for one dimension
+(LLC replacement by default), which option wins, by how much, and how often
+the result is a statistical tie: the paper's headline that isolation-tuned
+advantages dissolve in a contended LLC.
 
 Usage::
 
@@ -17,11 +17,16 @@ import sys
 
 from repro import scaled_config
 from repro.experiments import fig11
+from repro.experiments.registry import (
+    PlanContext,
+    execute_plan,
+    get_artifact,
+    plan_union,
+)
 from repro.sim import ExperimentScale
 
 SCALE = ExperimentScale(warmup_instructions=5_000, sim_instructions=15_000,
                         sample_interval=3_000)
-WORKLOADS = ("450.soplex", "470.lbm", "435.gromacs")
 
 
 def main() -> None:
@@ -31,11 +36,14 @@ def main() -> None:
         known = ", ".join(d.name for d in fig11.DIMENSIONS)
         raise SystemExit(f"unknown dimension {wanted!r}; pick one of: {known}")
 
-    print(f"sweeping {wanted} options {dimensions[0].options} over "
-          f"P_induce {fig11.FIG11_PINDUCE} on {len(WORKLOADS)} workloads...")
-    result = fig11.run_fig11(scaled_config(), SCALE, workloads=WORKLOADS,
-                             dimensions=dimensions)
+    ctx = PlanContext(config=scaled_config(), scale=SCALE, suite=())
+    print(f"sweeping every design dimension over P_induce "
+          f"{fig11.FIG11_PINDUCE} on the case-study suite...")
+    outcome = execute_plan(plan_union(["fig11"], ctx))
+    result = get_artifact("fig11").aggregate(ctx, outcome.results)
     sweep = result.sweeps[wanted]
+    print(f"{wanted} options: {', '.join(sweep.options)}; "
+          f"workloads: {', '.join(result.workloads)}")
 
     print(f"\n{'P_induce':>9}  {'winner':>16}  {'win share':>9}  {'ties':>6}")
     for p in result.p_values:

@@ -359,27 +359,6 @@ class Cache:
                                 "protocol", info.tag)
         return info
 
-    def invalidate_way(self, set_index: int, way: int) -> Optional[EvictedBlock]:
-        """Drop a block by position; returns its state for write-back.
-
-        The PInTE engine's INVALIDATE pass does the same inline, per trigger.
-        """
-        state = self.state
-        index = set_index * self.assoc + way
-        if not state.valid[index]:
-            return None
-        tag = state.tags[index]
-        owner = state.owners[index]
-        info = _new_tuple(EvictedBlock, (tag, state.dirty[index] != 0, owner,
-                                         state.prefetched[index] != 0))
-        self._tags[set_index].pop(tag, None)
-        state.clear(index)
-        self.stats.invalidations += 1
-        if self._events is not None:
-            self._events.record("invalidate", set_index, way, owner,
-                                "protocol", tag)
-        return info
-
     def mark_dirty(self, block_addr: int) -> bool:
         """Set the dirty bit on a resident block (write-back arrival)."""
         block = block_addr >> self._offset_bits

@@ -377,17 +377,35 @@ def cmd_mrc(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_study(args: argparse.Namespace) -> int:
-    """``repro partition-study`` — LLC partitioning schemes vs thefts."""
+    """``repro partition-study`` — LLC partitioning schemes vs thefts.
+
+    Runs the registry's ``partition_study`` artifact for the requested
+    victim/aggressor pair: plan, execute inline, aggregate, render.
+    """
     from repro.experiments import partition_study
-    from repro.sim import ExperimentScale
+    from repro.experiments.registry import (
+        PlanContext,
+        UnionPlan,
+        _aggregate_partition,
+        _plan_partition,
+        execute_plan,
+    )
 
     config = _resolve_machine(args)
     scale = ExperimentScale(warmup_instructions=args.warmup,
                             sim_instructions=args.instructions,
                             sample_interval=max(1, args.instructions // 8),
                             seed=args.seed)
-    result = partition_study.run_partition_study(
-        config, scale, workloads=(args.victim, args.aggressor))
+    ctx = PlanContext(config=config, scale=scale, suite=())
+    pair = (args.victim, args.aggressor)
+    for name in pair:
+        get_workload(name)  # an unknown name fails here, in one line
+    planned = _plan_partition(ctx, pair=pair)
+    plan = UnionPlan(artifacts=("partition_study",),
+                     per_artifact={"partition_study": planned},
+                     unique=planned)
+    outcome = execute_plan(plan)
+    result = _aggregate_partition(ctx, outcome.results, pair=pair)
     print(partition_study.format_report(result))
     return 0
 
@@ -1296,6 +1314,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Lowest value each scale flag accepts: ``(flag, attribute, minimum)``.
+_SCALE_FLAG_MINIMA = (("--instructions", "instructions", 1),
+                      ("--warmup", "warmup", 0),
+                      ("--panel", "panel", 0))
+
+
+def _check_scale_flags(args: argparse.Namespace) -> None:
+    """Reject a scale flag no run can honour, before anything runs."""
+    for flag, attribute, minimum in _SCALE_FLAG_MINIMA:
+        value = getattr(args, attribute, None)
+        if value is not None and value < minimum:
+            raise SystemExit(f"repro: {flag} must be >= {minimum}, "
+                             f"got {value}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
@@ -1303,10 +1336,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reported as one clean ``repro: unknown <kind> ...`` line (with
     did-you-mean candidates) instead of a traceback, mirroring the
     result-store checks in the campaign commands; so are campaign limits
-    no run can honour (``--processes 0``, ``--timeout 0``).
+    no run can honour (``--processes 0``, ``--timeout 0``) and scale flags
+    out of range (``--instructions 0``, ``--warmup -1``, ``--panel -1``).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_scale_flags(args)
     for spec in args.plugins or ():
         try:
             load_plugin(spec)

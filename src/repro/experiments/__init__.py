@@ -1,9 +1,13 @@
-"""Experiment drivers: one module per paper table/figure.
+"""Experiments: one module per paper table/figure.
 
-Most drivers consume a shared :class:`~repro.experiments.contexts.ContextBundle`
-(isolation + PInTE sweep + 2nd-Trace panel over one suite); Fig 3, 10 and 11
-run their own campaigns. Every driver exposes ``run_*`` returning a result
-dataclass and ``format_report`` rendering the paper-style rows/series.
+Every table and figure is run the same way, through the artifact registry
+(:mod:`repro.experiments.registry`): plan its jobs, execute them through
+the campaign engine, aggregate the results and render the report. Each
+module holds its result dataclass, the pure aggregation that builds it
+and ``format_report`` rendering the paper-style rows/series. Most of them
+view a shared :class:`~repro.experiments.contexts.ContextBundle` (isolation
++ PInTE sweep + 2nd-Trace panel over one suite) through ``run_*``; Fig 3,
+10 and 11 and the two extension studies plan their own jobs.
 """
 
 from repro.experiments import (
@@ -22,11 +26,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.contexts import (
-    ContextBundle,
-    DEFAULT_PANEL_SIZE,
-    build_contexts,
-)
+from repro.experiments.contexts import ContextBundle
 from repro.experiments.suites import (
     CASE_STUDY_SUITE,
     CORE_SUITE,
@@ -42,13 +42,11 @@ __all__ = [
     "CASE_STUDY_SUITE",
     "CORE_SUITE",
     "ContextBundle",
-    "DEFAULT_PANEL_SIZE",
     "FIG10_SUITE",
     "FIG5_WORKLOADS",
     "FULL_SUITE",
     "QUICK_SUITE",
     "ablations",
-    "build_contexts",
     "fig1",
     "ncore_study",
     "partition_study",

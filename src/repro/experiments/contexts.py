@@ -2,31 +2,21 @@
 
 Most of the paper's tables and figures are different views of the same three
 run contexts (Section V-A *Running Context*): isolation, PInTE sweep, and
-2nd-Trace pairs. :func:`build_contexts` runs all three once for a suite;
-every driver then analyses the bundle, exactly as the paper post-processes
-one experiment campaign.
+2nd-Trace pairs. The artifact registry plans all three once for a suite
+(:func:`repro.experiments.registry.plan_bundle`), executes them through the
+campaign engine and reassembles a :class:`ContextBundle`
+(:func:`repro.experiments.registry.bundle_from_results`); every table or
+figure then analyses the bundle, exactly as the paper post-processes one experiment
+campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro.config import MachineConfig
-from repro.core import PAPER_PINDUCE_SWEEP
-from repro.sim import (
-    ExperimentScale,
-    SimulationResult,
-    TraceLibrary,
-    adversary_panel,
-    run_isolation,
-    run_pairs,
-    run_pinte_sweep,
-)
-
-#: Default number of 2nd-Trace adversaries per benchmark at repro scale.
-DEFAULT_PANEL_SIZE = 4
-
+from repro.sim import ExperimentScale, SimulationResult
 
 @dataclass
 class ContextBundle:
@@ -47,7 +37,7 @@ class ContextBundle:
         """All 2nd-Trace runs with ``name`` as the measured workload.
 
         A benchmark that is in the bundle but was run without pairs
-        (``include_pairs=False``) yields ``[]``; an unknown benchmark
+        (``panel_size=0``) yields ``[]``; an unknown benchmark
         raises ``KeyError`` naming the available ones.
         """
         if name not in self.names:
@@ -64,99 +54,3 @@ class ContextBundle:
 
     def all_isolation(self) -> List[SimulationResult]:
         return list(self.isolation.values())
-
-
-def build_contexts(
-    names: Sequence[str],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    p_values: Sequence[float] = PAPER_PINDUCE_SWEEP,
-    panel_size: int = DEFAULT_PANEL_SIZE,
-    include_pairs: bool = True,
-    processes: Optional[int] = None,
-    trace_store=None,
-) -> ContextBundle:
-    """Run isolation + PInTE sweep (+ 2nd-Trace panel) for every benchmark.
-
-    ``processes > 1`` fans the campaign out through
-    :func:`repro.campaign.run_campaign` (worker processes, retries,
-    failure isolation) and produces results identical to the serial path
-    — the jobs pin the same trace seeds the serial runners use.
-
-    ``trace_store`` (a :class:`~repro.trace.store.TraceStore` or directory
-    path) serves traces from the shared on-disk cache on both paths.
-    """
-    names = list(names)
-    if processes is not None and processes > 1:
-        return _build_contexts_parallel(names, config, scale, p_values,
-                                        panel_size, include_pairs, processes,
-                                        trace_store)
-    if trace_store is not None and not hasattr(trace_store, "get_or_build"):
-        from repro.trace.store import TraceStore
-        trace_store = TraceStore(trace_store)
-    library = TraceLibrary(config, scale, store=trace_store)
-    isolation = run_isolation(names, config, scale, library=library)
-    pinte = run_pinte_sweep(names, config, scale, p_values=p_values,
-                            library=library)
-    pairs: Dict[str, List[SimulationResult]] = {}
-    if include_pairs and panel_size > 0:
-        for name in names:
-            panel = adversary_panel(name, names, panel_size)
-            pair_list: List[Tuple[str, str]] = [(name, other) for other in panel]
-            results = run_pairs(pair_list, config, scale, library=library)
-            pairs[name] = [results[key] for key in pair_list]
-    return ContextBundle(
-        config=config,
-        scale=scale,
-        names=names,
-        isolation=isolation,
-        pinte=pinte,
-        pairs=pairs,
-    )
-
-
-def _build_contexts_parallel(
-    names: List[str],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    p_values: Sequence[float],
-    panel_size: int,
-    include_pairs: bool,
-    processes: int,
-    trace_store=None,
-) -> ContextBundle:
-    """Campaign-engine fan-out behind :func:`build_contexts`.
-
-    Serial ``run_pairs`` builds both traces at ``scale.seed`` (the shared
-    :class:`TraceLibrary`); the pair jobs pin ``co_seed=scale.seed`` to
-    match, so the parallel bundle is bit-identical to the serial one.
-    """
-    from repro.campaign.engine import run_campaign
-    from repro.sim.batch import Job
-
-    jobs: List[Job] = [Job(name) for name in names]
-    for name in names:
-        jobs.extend(Job(name, mode="pinte", p_induce=p) for p in p_values)
-    panels: Dict[str, List[str]] = {}
-    if include_pairs and panel_size > 0:
-        for name in names:
-            panels[name] = adversary_panel(name, names, panel_size)
-            jobs.extend(Job(name, mode="pair", co_runner=other,
-                            co_seed=scale.seed) for other in panels[name])
-    report = run_campaign(jobs, config, scale, processes=processes,
-                          raise_on_failure=True, trace_store=trace_store)
-    by_position = dict(zip(jobs, report.results))
-    isolation = {name: by_position[Job(name)] for name in names}
-    pinte = {
-        name: {p: by_position[Job(name, mode="pinte", p_induce=p)]
-               for p in p_values}
-        for name in names
-    }
-    pairs = {
-        name: [by_position[Job(name, mode="pair", co_runner=other,
-                               co_seed=scale.seed)]
-               for other in panel]
-        for name, panel in panels.items()
-    }
-    return ContextBundle(config=config, scale=scale, names=names,
-                         isolation=isolation, pinte=pinte, pairs=pairs)

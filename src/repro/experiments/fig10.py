@@ -14,21 +14,12 @@ x-axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.analysis.occupancy import mean_change_in_occupancy
-from repro.config import MachineConfig, xeon_config
+from repro.config import MachineConfig
 from repro.experiments.reporting import format_table
-from repro.experiments.suites import FIG10_SUITE
-from repro.sim import (
-    ExperimentScale,
-    SimulationResult,
-    TraceLibrary,
-    adversary_panel,
-    run_isolation,
-    run_pairs,
-    run_pinte_sweep,
-)
+from repro.sim import SimulationResult
 
 #: Reduced sweep for the Fig 10 bench (six points across the range).
 FIG10_PINDUCE = (0.02, 0.05, 0.15, 0.35, 0.6, 1.0)
@@ -90,7 +81,7 @@ def points_from_results(
     pairs_by_name: Dict[str, List[SimulationResult]],
     allocation_fraction: float,
 ) -> Fig10Result:
-    """Build the scatter from raw results (shared with the registry).
+    """Build the scatter from raw results (the registry's aggregate phase).
 
     ``sweep`` maps benchmark -> P_induce -> PInTE result;
     ``pairs_by_name`` maps benchmark -> 2nd-Trace results in panel order.
@@ -115,31 +106,6 @@ def points_from_results(
         ]
     return Fig10Result(real_points=real_points, pinte_points=pinte_points,
                        allocation_fraction=allocation_fraction)
-
-
-def run_fig10(
-    names: Sequence[str] = tuple(FIG10_SUITE),
-    config: MachineConfig = None,
-    scale: ExperimentScale = None,
-    p_values: Sequence[float] = FIG10_PINDUCE,
-    panel_size: int = 3,
-) -> Fig10Result:
-    """Run the xeon-config 2nd-Trace proxy against the PInTE sweep."""
-    config = config if config is not None else xeon_config()
-    scale = scale if scale is not None else ExperimentScale()
-    names = list(names)
-    library = TraceLibrary(config, scale)
-
-    sweep = run_pinte_sweep(names, config, scale, p_values=p_values,
-                            library=library)
-    pairs_by_name: Dict[str, List[SimulationResult]] = {}
-    for name in names:
-        panel = adversary_panel(name, names, panel_size)
-        pair_keys: List[Tuple[str, str]] = [(name, other) for other in panel]
-        pair_results = run_pairs(pair_keys, config, scale, library=library)
-        pairs_by_name[name] = [pair_results[key] for key in pair_keys]
-    return points_from_results(names, sweep, pairs_by_name,
-                               allocation_fraction_for(config))
 
 
 def format_report(result: Fig10Result) -> str:

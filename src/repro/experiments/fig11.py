@@ -21,11 +21,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.config import MachineConfig
 from repro.configs import DESIGN_DIMENSIONS
-from repro.core import PinteConfig
 from repro.experiments.reporting import format_table, percent
-from repro.experiments.suites import CASE_STUDY_SUITE
-from repro.sim import ExperimentScale, SimulationResult, TraceLibrary
-from repro.sim.simulator import simulate
+from repro.sim import SimulationResult
 
 #: Contention sweep for the case study; includes the paper's 7.5% and 70%
 #: break-points.
@@ -115,8 +112,7 @@ def sweep_from_results(
 ) -> DimensionSweep:
     """Rank one dimension's options from ``results[p][option][workload]``.
 
-    Shared by the serial :func:`run_fig11` driver and the artifact
-    registry's aggregate phase.
+    Called by the artifact registry's aggregate phase, once per dimension.
     """
     win_share: Dict[float, Dict[str, float]] = {}
     tie_share: Dict[float, float] = {}
@@ -157,42 +153,6 @@ def sweep_from_results(
         primary=primary,
         secondary=secondary,
     )
-
-
-def run_fig11(
-    config: MachineConfig,
-    scale: ExperimentScale,
-    workloads: Sequence[str] = tuple(CASE_STUDY_SUITE),
-    p_values: Sequence[float] = FIG11_PINDUCE,
-    dimensions: Sequence[Dimension] = DIMENSIONS,
-) -> Fig11Result:
-    """Sweep P_induce and rank the design options at each contention level."""
-    workloads = tuple(workloads)
-    p_values = tuple(p_values)
-    sweeps: Dict[str, DimensionSweep] = {}
-    for dimension in dimensions:
-        # results[p][option][workload] -> SimulationResult
-        results: Dict[float, Dict[str, Dict[str, SimulationResult]]] = {
-            p: {option: {} for option in dimension.options} for p in p_values
-        }
-        for option in dimension.options:
-            variant = dimension.configure(config, option)
-            library = TraceLibrary(variant, scale)
-            for name in workloads:
-                trace = library.get(name)
-                for p in p_values:
-                    results[p][option][name] = simulate(
-                        trace, variant,
-                        pinte=PinteConfig(p_induce=p, seed=scale.seed) if p > 0
-                        else None,
-                        warmup_instructions=scale.warmup_instructions,
-                        sim_instructions=scale.sim_instructions,
-                        sample_interval=scale.sample_interval,
-                        seed=scale.seed,
-                    )
-        sweeps[dimension.name] = sweep_from_results(dimension, results,
-                                                    p_values, workloads)
-    return Fig11Result(sweeps=sweeps, p_values=p_values, workloads=workloads)
 
 
 def format_report(result: Fig11Result) -> str:

@@ -12,10 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.stability import median, normalised_std_dev
-from repro.config import MachineConfig
-from repro.core import PAPER_PINDUCE_SWEEP
 from repro.experiments.reporting import format_table
-from repro.sim import ExperimentScale, TraceLibrary, run_pinte_sweep
 
 
 @dataclass
@@ -53,8 +50,8 @@ def stability_from_repeats(
 ) -> Fig3Result:
     """Aggregate ``repeats[k][name][p] -> result`` into a :class:`Fig3Result`.
 
-    Shared by the serial :func:`run_fig3` driver and the artifact
-    registry's aggregate phase, so both produce identical statistics.
+    The artifact registry's aggregate phase rebuilds ``repeats`` from the
+    campaign results (one PInTE seed per repeat) and calls this.
     """
     if len(repeats) < 2:
         raise ValueError("stability needs at least two repeats")
@@ -83,26 +80,6 @@ def stability_from_repeats(
 
 #: PInTE seed base for repeat ``k`` (``1000 + k``), shared with the registry.
 REPEAT_SEED_BASE = 1000
-
-
-def run_fig3(
-    names: Sequence[str],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    p_values: Sequence[float] = PAPER_PINDUCE_SWEEP,
-    n_repeats: int = 5,
-) -> Fig3Result:
-    """Repeat the PInTE sweep ``n_repeats`` times with distinct seeds."""
-    if n_repeats < 2:
-        raise ValueError("stability needs at least two repeats")
-    library = TraceLibrary(config, scale)
-    # repeats[k][name][p] -> result
-    repeats = [
-        run_pinte_sweep(names, config, scale, p_values=p_values,
-                        library=library, pinte_seed=REPEAT_SEED_BASE + k)
-        for k in range(n_repeats)
-    ]
-    return stability_from_repeats(repeats, names, p_values)
 
 
 def format_report(result: Fig3Result) -> str:

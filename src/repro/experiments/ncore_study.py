@@ -6,18 +6,21 @@ This study measures both claims: for 2, 3 and 4 concurrent workloads it
 records the victim's observed contention rate and the wall-clock cost, then
 compares against a PInTE sweep that reaches the same (and higher) contention
 for a fraction of the cost on one core.
+
+A run's cost is its wall time with the private-stream memo off
+(:func:`~repro.sim.batch.memo_off_seconds`), as in Table I's memo-off
+column: a job that replays a private stream an earlier job simulated is
+charged the full simulation it stands for, whatever the execution order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from repro.config import MachineConfig
-from repro.core import PinteConfig
 from repro.experiments.reporting import format_table
-from repro.sim import ExperimentScale, SimulationResult, TraceLibrary, simulate
-from repro.sim.multicore import simulate_multiprogrammed
+from repro.sim import SimulationResult
+from repro.sim.batch import memo_off_seconds
 
 #: Victim measured throughout; adversaries appended per core count.
 DEFAULT_VICTIM = "450.soplex"
@@ -41,45 +44,11 @@ class NcoreResult:
         return max(r.contention_rate for r in self.pinte.values())
 
     def cost(self, cores: int) -> float:
-        return self.by_cores[cores].wall_time_seconds
+        return memo_off_seconds(self.by_cores[cores])
 
     def pinte_mean_cost(self) -> float:
-        costs = [r.wall_time_seconds for r in self.pinte.values()]
+        costs = [memo_off_seconds(r) for r in self.pinte.values()]
         return sum(costs) / len(costs)
-
-
-def run_ncore_study(
-    config: MachineConfig,
-    scale: ExperimentScale,
-    victim: str = DEFAULT_VICTIM,
-    adversaries: Sequence[str] = DEFAULT_ADVERSARIES,
-    p_values: Sequence[float] = DEFAULT_PINDUCE,
-) -> NcoreResult:
-    """Measure contention coverage and wall-clock cost as core count grows."""
-    library = TraceLibrary(config, scale)
-    victim_trace = library.get(victim)
-    adversary_traces = [
-        library.get(name, seed=scale.seed + 1 + i)
-        for i, name in enumerate(adversaries)
-    ]
-    by_cores: Dict[int, SimulationResult] = {}
-    for extra in range(1, len(adversary_traces) + 1):
-        traces = [victim_trace] + adversary_traces[:extra]
-        results = simulate_multiprogrammed(
-            traces, config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval, seed=scale.seed,
-        )
-        by_cores[extra + 1] = results[0]
-    pinte = {
-        p: simulate(victim_trace, config, pinte=PinteConfig(p, seed=scale.seed),
-                    warmup_instructions=scale.warmup_instructions,
-                    sim_instructions=scale.sim_instructions,
-                    sample_interval=scale.sample_interval, seed=scale.seed)
-        for p in p_values
-    }
-    return NcoreResult(victim=victim, by_cores=by_cores, pinte=pinte)
 
 
 def format_report(result: NcoreResult) -> str:
@@ -88,11 +57,11 @@ def format_report(result: NcoreResult) -> str:
     for cores in sorted(result.by_cores):
         run = result.by_cores[cores]
         rows.append((f"{cores}-core co-run", run.contention_rate,
-                     run.interference_rate, run.ipc, run.wall_time_seconds))
+                     run.interference_rate, run.ipc, memo_off_seconds(run)))
     for p in sorted(result.pinte):
         run = result.pinte[p]
         rows.append((f"PInTE p={p}", run.contention_rate,
-                     run.interference_rate, run.ipc, run.wall_time_seconds))
+                     run.interference_rate, run.ipc, memo_off_seconds(run)))
     table = format_table(
         ["Context", "contention", "interference", "IPC", "wall (s)"],
         rows,

@@ -11,19 +11,11 @@ thefts, per-workload weighted IPC, and system throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.throughput import throughput_report
-from repro.cache.partition import (
-    CashtPartitioner,
-    Partitioner,
-    StaticPartitioner,
-    UcpPartitioner,
-)
-from repro.config import MachineConfig
 from repro.experiments.reporting import format_table
-from repro.sim import ExperimentScale, SimulationResult, TraceLibrary, simulate
-from repro.sim.multicore import simulate_multiprogrammed
+from repro.sim import SimulationResult
 
 #: Default victim/aggressor pair: an LLC-bound workload with real reuse vs a
 #: streaming cache-flooder.
@@ -62,57 +54,6 @@ class PartitionStudyResult:
         return self.outcomes[scheme]
 
 
-def _make_partitioner(scheme: str, config: MachineConfig) -> Optional[Partitioner]:
-    n_ways = config.llc.assoc
-    n_sets = config.llc.size // (n_ways * config.block_size)
-    owners = [0, 1]
-    if scheme == "shared":
-        return None
-    if scheme == "static":
-        return StaticPartitioner(n_ways, owners)
-    if scheme == "ucp":
-        return UcpPartitioner(n_sets, n_ways, owners, sampling=4)
-    if scheme == "casht":
-        return CashtPartitioner(n_ways, owners)
-    raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
-
-
-def run_partition_study(
-    config: MachineConfig,
-    scale: ExperimentScale,
-    workloads: Tuple[str, str] = DEFAULT_PAIR,
-    schemes: Sequence[str] = SCHEMES,
-    repartition_interval: int = 4_000,
-) -> PartitionStudyResult:
-    """Run the victim/aggressor pair under each partitioning scheme."""
-    library = TraceLibrary(config, scale)
-    victim = library.get(workloads[0])
-    aggressor = library.get(workloads[1], seed=scale.seed + 1)
-    isolations = [
-        simulate(trace, config, warmup_instructions=scale.warmup_instructions,
-                 sim_instructions=scale.sim_instructions,
-                 sample_interval=scale.sample_interval, seed=scale.seed)
-        for trace in (victim, aggressor)
-    ]
-
-    outcomes: Dict[str, SchemeOutcome] = {}
-    for scheme in schemes:
-        partitioner = _make_partitioner(scheme, config)
-        results = simulate_multiprogrammed(
-            [victim, aggressor], config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval, seed=scale.seed,
-            partitioner=partitioner,
-            repartition_interval=repartition_interval,
-        )
-        outcomes[scheme] = outcome_from_results(
-            scheme, results, isolations,
-            final_quotas=(partitioner.allocate() if partitioner else {}),
-        )
-    return PartitionStudyResult(workloads=workloads, outcomes=outcomes)
-
-
 def outcome_from_results(
     scheme: str,
     results: List[SimulationResult],
@@ -121,8 +62,7 @@ def outcome_from_results(
 ) -> SchemeOutcome:
     """Build one scheme's outcome from its per-core and isolation results.
 
-    Shared by the serial :func:`run_partition_study` driver and the
-    artifact registry's aggregate phase.
+    Called by the artifact registry's aggregate phase, once per scheme.
     """
     throughput = throughput_report(results, isolations)
     for core, (shared, alone) in enumerate(zip(results, isolations)):

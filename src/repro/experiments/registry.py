@@ -1,23 +1,22 @@
 """Declarative artifact registry: plan → execute → aggregate → render.
 
 The paper's evaluation is one campaign viewed thirteen ways (Section V-A
-*Running Context*). This module makes that literal: every table/figure is
-an :class:`Artifact` with three pure-ish phases —
+*Running Context*). This module makes that literal, and it is the only way
+any table, figure or study is run: every one is an :class:`Artifact` with
+three pure-ish phases —
 
 * ``plan(ctx) -> [PlannedJob]`` — enumerate the simulations the artifact
   needs (**no simulation happens here**; a plan is just jobs plus the
   machine/scale each runs under);
-* ``aggregate(ctx, results) -> result object`` — reconstruct the
-  artifact's result dataclass from campaign results, byte-identical to
-  what the serial ``run_*`` driver computes;
-* ``render(result) -> str`` — the driver's existing ``format_report``.
+* ``aggregate(ctx, results) -> result object`` — build the artifact's
+  result dataclass from campaign results with its module's pure helpers;
+* ``render(result) -> str`` — the module's ``format_report``.
 
 Between plan and aggregate sits :func:`execute_plan`, which routes every
-job — including the formerly standalone ``simulate()`` loops of Fig 3/10/11
-and the n-core/partitioning studies — through the fault-tolerant campaign
-engine (:mod:`repro.campaign`), so every artifact gains retries, timeouts,
-sharding, the shared trace cache, a persistent :class:`ResultStore` and
-resume for free.
+job through the fault-tolerant campaign engine (:mod:`repro.campaign`), so
+every artifact gets retries, timeouts, sharding, the shared trace cache, a
+persistent :class:`ResultStore` and resume. ``tests/golden/
+artifact_reports.json`` pins every artifact's report text at a tiny scale.
 
 :func:`plan_union` exploits the deterministic job ids of
 :mod:`repro.campaign.ids`: jobs requested by several artifacts (isolation
@@ -98,6 +97,9 @@ class PlanContext:
     panel_size: int = 3
 
     def __post_init__(self) -> None:
+        if self.panel_size < 0:
+            raise ValueError(f"PlanContext.panel_size must be >= 0, got "
+                             f"{self.panel_size}")
         object.__setattr__(self, "suite", tuple(self.suite))
         object.__setattr__(self, "p_values", tuple(self.p_values))
 
@@ -307,8 +309,7 @@ def execute_plan(
     it already contains. ``processes`` defaults to 1 (inline execution);
     inline runs without an explicit ``trace_store`` share an in-process
     :class:`~repro.trace.store.MemoryTraceStore` so each input trace is
-    built once per invocation, like the serial drivers' shared
-    ``TraceLibrary``.
+    built once per invocation.
 
     ``inject`` names a fault workload (``raise``/``exit``/``hang``/
     ``flaky:N+name`` — the ``__fault:`` prefix is added if missing) that
@@ -383,10 +384,11 @@ def execute_plan(
 def plan_bundle(ctx: PlanContext) -> List[PlannedJob]:
     """The shared three-context campaign every bundle artifact consumes.
 
-    Job list and trace seeds mirror
-    :func:`repro.experiments.contexts.build_contexts` exactly (pair jobs
-    pin ``co_seed=scale.seed``, like the serial shared ``TraceLibrary``),
-    so aggregation reconstructs a bit-identical
+    Isolation runs first, then the PInTE sweep, then each workload's
+    2nd-Trace panel (none when ``ctx.panel_size`` is 0). Pair jobs pin
+    ``co_seed=scale.seed``, so both cores of a pair read the same
+    per-workload traces the isolation and PInTE runs read;
+    :func:`bundle_from_results` reassembles the
     :class:`~repro.experiments.contexts.ContextBundle`.
     """
     names = list(ctx.suite)
@@ -568,7 +570,7 @@ register(Artifact(name="fig10", title="Fig 10: real-system proxy vs PInTE "
 # --------------------------------------------------------------------------
 
 def _fig11_job(name: str, p: float) -> Job:
-    """Isolation at p=0, PInTE otherwise — like the serial driver."""
+    """Isolation at p=0, PInTE otherwise."""
     if p > 0:
         return Job(name, mode="pinte", p_induce=p)
     return Job(name)
@@ -620,7 +622,7 @@ register(Artifact(name="fig11", title="Fig 11: best design choice vs "
 def _ncore_multi_job(victim: str, adversaries: Sequence[str],
                      extra: int) -> Job:
     """The (1 + extra)-core co-run job; co-runner i's trace seed is
-    ``scale.seed + 1 + i``, matching the serial study."""
+    ``scale.seed + 1 + i``."""
     return Job(victim, mode="multi", co_runners=tuple(adversaries[:extra]))
 
 
@@ -668,20 +670,21 @@ register(Artifact(name="ncore_study", title="N-core coverage/cost study",
 # Partitioning study — multicore jobs with partitioner schemes
 # --------------------------------------------------------------------------
 
-#: Repartitioning epoch the serial study uses.
+#: Repartitioning epoch of the study's partitioned co-runs.
 PARTITION_REPARTITION_INTERVAL = 4_000
 
 
-def _partition_jobs(ctx: PlanContext):
+def _partition_jobs(ctx: PlanContext, *,
+                    pair: Tuple[str, str] = partition_study.DEFAULT_PAIR):
     """The study's job vocabulary: two isolations + one co-run per scheme.
 
-    The victim isolation is a plain isolation job — shared (and therefore
-    deduplicated) with the bundle when the victim is in the suite. The
-    aggressor's isolation pins ``trace_seed=scale.seed + 1`` because the
-    serial study measures it on the exact shifted-seed trace used in the
-    shared run.
+    ``pair`` is the (victim, aggressor) workload pair. The victim isolation
+    is a plain isolation job — shared (and therefore deduplicated) with the
+    bundle when the victim is in the suite. The aggressor's isolation pins
+    ``trace_seed=scale.seed + 1``, the exact shifted-seed trace it runs on
+    in the co-runs.
     """
-    victim, aggressor = partition_study.DEFAULT_PAIR
+    victim, aggressor = pair
     iso_victim = Job(victim)
     iso_aggressor = Job(aggressor, trace_seed=ctx.scale.seed + 1)
     scheme_jobs = {
@@ -693,17 +696,20 @@ def _partition_jobs(ctx: PlanContext):
     return iso_victim, iso_aggressor, scheme_jobs
 
 
-def _plan_partition(ctx: PlanContext) -> List[PlannedJob]:
+def _plan_partition(ctx: PlanContext, *,
+                    pair: Tuple[str, str] = partition_study.DEFAULT_PAIR,
+                    ) -> List[PlannedJob]:
     """Plan the isolation baselines plus one co-run per scheme."""
-    iso_victim, iso_aggressor, scheme_jobs = _partition_jobs(ctx)
+    iso_victim, iso_aggressor, scheme_jobs = _partition_jobs(ctx, pair=pair)
     jobs = [iso_victim, iso_aggressor] + list(scheme_jobs.values())
     return [PlannedJob(job, ctx.config, ctx.scale) for job in jobs]
 
 
-def _aggregate_partition(ctx: PlanContext, results: ResultMap):
+def _aggregate_partition(ctx: PlanContext, results: ResultMap, *,
+                         pair: Tuple[str, str] = partition_study.DEFAULT_PAIR):
     """Rebuild per-scheme outcomes (quotas come home in ``extra``)."""
-    victim, aggressor = partition_study.DEFAULT_PAIR
-    iso_victim, iso_aggressor, scheme_jobs = _partition_jobs(ctx)
+    victim, aggressor = pair
+    iso_victim, iso_aggressor, scheme_jobs = _partition_jobs(ctx, pair=pair)
     isolations = [
         results.for_job(iso_victim, ctx.config, ctx.scale),
         results.for_job(iso_aggressor, ctx.config, ctx.scale),

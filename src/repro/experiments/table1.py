@@ -22,6 +22,7 @@ from typing import Dict, List
 from repro.analysis.stability import std_dev
 from repro.experiments.contexts import ContextBundle
 from repro.experiments.reporting import format_table
+from repro.sim.batch import memo_off_seconds
 from repro.sim.results import SimulationResult
 
 
@@ -64,9 +65,7 @@ def _row(source: str, results: List[SimulationResult]) -> RuntimeRow:
     if not results:
         return RuntimeRow(source, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
     times = [result.wall_time_seconds for result in results]
-    memo_off = [result.wall_time_seconds
-                + result.extra.get("phase_private_reused_seconds", 0.0)
-                for result in results]
+    memo_off = [memo_off_seconds(result) for result in results]
     return RuntimeRow(
         source=source,
         n_sims=len(times),

@@ -12,9 +12,17 @@ before the flat-array ``CacheSetState`` refactor;
 ``tests/integration/test_golden_equivalence.py`` asserts the current data
 path reproduces it bit-for-bit. Regenerate the file (only for an
 *intentional* behaviour change) with ``scripts/capture_goldens.py``.
+
+:func:`artifact_report_goldens` does the same for the paper artifacts: it
+renders all thirteen registered tables and figures at a tiny scale under a
+deterministic clock, and ``tests/golden/artifact_reports.json`` pins the
+texts (``tests/integration/test_registry_equivalence.py``).
 """
 
 from __future__ import annotations
+
+import time
+from contextlib import contextmanager
 
 from repro.config import scaled_config
 from repro.core import PInTE, PinteConfig
@@ -22,6 +30,7 @@ from repro.core.counters import ContentionTracker
 from repro.cache.cache import Cache
 from repro.sim.fastcache import simulate_cache_only
 from repro.sim.multicore import simulate_multiprogrammed
+from repro.sim.runner import ExperimentScale
 from repro.sim.simulator import simulate
 from repro.trace import build_trace, get_workload
 
@@ -305,3 +314,77 @@ def capture_all() -> dict:
         "multicore": multicore_goldens(),
         "hybrid": hybrid_goldens(),
     }
+
+
+#: Artifact-report golden matrix: a tiny scale, a four-workload suite, a
+#: three-point sweep and a two-adversary panel.
+ARTIFACT_SCALE = ExperimentScale(warmup_instructions=500,
+                                 sim_instructions=2_000,
+                                 sample_interval=500, seed=7)
+ARTIFACT_SUITE = ("435.gromacs", "453.povray", "470.lbm", "605.mcf")
+ARTIFACT_P_VALUES = (0.05, 0.3, 1.0)
+ARTIFACT_PANEL = 2
+
+
+class FakeClock:
+    """Deterministic ``perf_counter``: a fixed step per call."""
+
+    def __init__(self, step: float = 0.001) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+@contextmanager
+def fake_clock():
+    """Swap ``time.perf_counter`` for a :class:`FakeClock` and stop
+    ``time.monotonic``.
+
+    Table I and the n-core study render wall-clock seconds. Under the fake
+    a duration is the step times the number of clock reads inside it, which
+    is the same for the same simulations whatever the host load; the
+    private-stream build clock (``time.monotonic``) stands still, so no
+    memoised stage adds replayed seconds.
+    """
+    real, real_monotonic = time.perf_counter, time.monotonic
+    time.perf_counter = FakeClock()
+    time.monotonic = lambda: 0.0
+    try:
+        yield
+    finally:
+        time.perf_counter, time.monotonic = real, real_monotonic
+
+
+def execute_artifacts():
+    """Plan every registered artifact and execute the union inline under
+    :func:`fake_clock`; ``(PlanContext, ResultMap)``."""
+    from repro.experiments.registry import (
+        PlanContext,
+        artifact_names,
+        execute_plan,
+        plan_union,
+    )
+
+    ctx = PlanContext(config=scaled_config(), scale=ARTIFACT_SCALE,
+                      suite=ARTIFACT_SUITE, p_values=ARTIFACT_P_VALUES,
+                      panel_size=ARTIFACT_PANEL)
+    with fake_clock():
+        outcome = execute_plan(plan_union(artifact_names(), ctx))
+    return ctx, outcome.results
+
+
+def render_artifacts(ctx, results) -> dict:
+    """Every registered artifact's report text from executed results."""
+    from repro.experiments.registry import REGISTRY
+
+    return {name: artifact.report(ctx, results)
+            for name, artifact in REGISTRY.items()}
+
+
+def artifact_report_goldens() -> dict:
+    """Every artifact's report text, planned, executed inline and rendered
+    through the registry under :func:`fake_clock`."""
+    return render_artifacts(*execute_artifacts())

@@ -1,4 +1,4 @@
-"""Simulation drivers: single-core, PInTE, 2nd-Trace, and sweeps."""
+"""Simulation hosts: single-core, PInTE, 2nd-Trace and multi-programmed."""
 
 from repro.sim.characterize import (
     WorkloadProfile,
@@ -13,9 +13,6 @@ from repro.sim.runner import (
     TEST_SCALE,
     TraceLibrary,
     adversary_panel,
-    run_isolation,
-    run_pairs,
-    run_pinte_sweep,
 )
 from repro.sim.simulator import DEFAULT_SAMPLE_INTERVAL, simulate
 
@@ -33,9 +30,6 @@ __all__ = [
     "all_pairs",
     "characterize",
     "profile_from_result",
-    "run_isolation",
-    "run_pairs",
-    "run_pinte_sweep",
     "simulate",
     "simulate_multiprogrammed",
     "simulate_pair",

@@ -40,7 +40,7 @@ class Job:
     and ``multi`` modes; the default (``None``) keeps the historical
     ``scale.seed + 1`` so paired runs never share a trace stream by
     accident. In ``multi`` mode the i-th co-runner's trace seed is
-    ``co_seed + i``, matching the serial n-core study convention.
+    ``co_seed + i``, the n-core study's convention.
 
     ``pinte_seed`` pins the PInTE RNG stream independently of the trace
     (the Fig. 3 stability study re-runs the same trace under fresh PInTE
@@ -261,6 +261,14 @@ def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
             observe.registry.count("trace.cache.miss",
                                    int(result.extra["trace_cache_misses"]))
     return result
+
+
+def memo_off_seconds(result: SimulationResult) -> float:
+    """What a run would have cost with the private-stream memo off: its
+    wall time plus the build time of the memoised private stages it
+    replayed (``phase_private_reused_seconds``)."""
+    return (result.wall_time_seconds
+            + result.extra.get("phase_private_reused_seconds", 0.0))
 
 
 def campaign_jobs(

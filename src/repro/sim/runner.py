@@ -1,26 +1,24 @@
-"""Experiment sweep helpers.
+"""Experiment scale, trace cache and adversary panels.
 
 The experiments in :mod:`repro.experiments` all follow the same recipe: pick
 workloads, run them in isolation, under a PInTE sweep, and/or against
-2nd-Trace adversaries, at a common scale. This module provides the shared
-machinery — a trace cache plus the three context runners — so each
-table/figure driver stays declarative.
+2nd-Trace adversaries, at a common scale. This module holds what those runs
+share: the :class:`ExperimentScale`, a :class:`TraceLibrary` that builds
+each trace once, and the deterministic 2nd-Trace :func:`adversary_panel`.
+The runs themselves go through the artifact registry
+(:mod:`repro.experiments.registry`) and the campaign engine.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig
-from repro.core import PAPER_PINDUCE_SWEEP, PinteConfig
 from repro.obs import Observation
 from repro.obs.registry import MetricRegistry
 from repro.serde import ConfigSerde
-from repro.sim.multicore import simulate_pair
-from repro.sim.results import SimulationResult
-from repro.sim.simulator import simulate
 from repro.trace.record import Trace
 from repro.trace.spec_models import get_workload
 from repro.trace.store import TraceStore
@@ -33,12 +31,30 @@ class ExperimentScale(ConfigSerde):
 
     The paper warms 500M and measures 500M instructions per trace; the
     defaults here are the scaled equivalents used by the benchmark harness.
+    Every field is an ``int`` (``bool`` is not); the warm-up may be 0, the
+    measured length and the sample interval must be at least 1. A bad value
+    is one ``ValueError`` here, not a failure deep inside a run.
     """
 
     warmup_instructions: int = 10_000
     sim_instructions: int = 40_000
     sample_interval: int = 4_000
     seed: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("warmup_instructions", "sim_instructions",
+                     "sample_interval", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"ExperimentScale.{name} must be an int, "
+                                 f"got {value!r}")
+        if self.warmup_instructions < 0:
+            raise ValueError("ExperimentScale.warmup_instructions must be "
+                             f">= 0, got {self.warmup_instructions}")
+        for name in ("sim_instructions", "sample_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"ExperimentScale.{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def trace_length(self) -> int:
@@ -108,83 +124,6 @@ class TraceLibrary:
             trace = self._build(name, length, seed)
             self._cache[key] = trace
         return trace
-
-
-def run_isolation(
-    names: Sequence[str],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    library: Optional[TraceLibrary] = None,
-) -> Dict[str, SimulationResult]:
-    """One isolation run per workload."""
-    library = library or TraceLibrary(config, scale)
-    return {
-        name: simulate(
-            library.get(name), config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval,
-            seed=scale.seed,
-        )
-        for name in names
-    }
-
-
-def run_pinte_sweep(
-    names: Sequence[str],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    p_values: Iterable[float] = PAPER_PINDUCE_SWEEP,
-    library: Optional[TraceLibrary] = None,
-    pinte_seed: Optional[int] = None,
-) -> Dict[str, Dict[float, SimulationResult]]:
-    """PInTE runs: every workload at every ``P_induce`` configuration."""
-    library = library or TraceLibrary(config, scale)
-    sweep: Dict[str, Dict[float, SimulationResult]] = {}
-    for name in names:
-        trace = library.get(name)
-        sweep[name] = {
-            p: simulate(
-                trace, config,
-                pinte=PinteConfig(
-                    p_induce=p,
-                    seed=pinte_seed if pinte_seed is not None else scale.seed,
-                ),
-                warmup_instructions=scale.warmup_instructions,
-                sim_instructions=scale.sim_instructions,
-                sample_interval=scale.sample_interval,
-                seed=scale.seed,
-            )
-            for p in p_values
-        }
-    return sweep
-
-
-def run_pairs(
-    pairs: Sequence[Tuple[str, str]],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    library: Optional[TraceLibrary] = None,
-) -> Dict[Tuple[str, str], SimulationResult]:
-    """2nd-Trace runs: primary measured against each secondary.
-
-    The paper's 2nd-Trace protocol has no warm-up (data collected every 10M
-    from the start, early samples discarded in analysis); we mirror that by
-    warming 0 instructions and letting callers drop early samples.
-    """
-    library = library or TraceLibrary(config, scale)
-    results: Dict[Tuple[str, str], SimulationResult] = {}
-    for primary_name, secondary_name in pairs:
-        primary = library.get(primary_name)
-        secondary = library.get(secondary_name)
-        results[(primary_name, secondary_name)] = simulate_pair(
-            primary, secondary, config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval,
-            seed=scale.seed,
-        )
-    return results
 
 
 def adversary_panel(target: str, all_names: Sequence[str], count: int) -> List[str]:

@@ -152,18 +152,6 @@ class TestInvalidate:
         cache = make_cache()
         assert cache.invalidate(0x1000) is None
 
-    def test_invalidate_way(self):
-        cache = make_cache()
-        cache.fill(0x1000, 0)
-        way = cache.probe(0x1000)
-        info = cache.invalidate_way(cache.set_index(0x1000), way)
-        assert info.tag == 0x1000
-        assert cache.probe(0x1000) == -1
-
-    def test_invalidate_way_invalid_block(self):
-        cache = make_cache()
-        assert cache.invalidate_way(0, 0) is None
-
     def test_mark_dirty(self):
         cache = make_cache()
         cache.fill(0x1000, 0)

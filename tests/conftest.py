@@ -70,14 +70,41 @@ def lbm_pinte(lbm_trace, config):
                     sample_interval=TINY.sample_interval)
 
 
-@pytest.fixture(scope="session")
-def tiny_bundle(config):
-    """A small but complete three-context campaign for experiment tests."""
-    from repro.experiments import build_contexts
+#: Suite and sweep of the tiny three-context campaign.
+TINY_SUITE = ("435.gromacs", "453.povray", "470.lbm", "605.mcf")
+TINY_P_VALUES = (0.02, 0.1, 0.3, 0.7, 1.0)
 
-    names = ["435.gromacs", "453.povray", "470.lbm", "605.mcf"]
-    return build_contexts(
-        names, config, TINY,
-        p_values=(0.02, 0.1, 0.3, 0.7, 1.0),
-        panel_size=2,
-    )
+
+@pytest.fixture(scope="session")
+def tiny_context(config):
+    """The plan context of the tiny three-context campaign."""
+    from repro.experiments.registry import PlanContext
+
+    return PlanContext(config=config, scale=TINY, suite=TINY_SUITE,
+                       p_values=TINY_P_VALUES, panel_size=2)
+
+
+@pytest.fixture(scope="session")
+def tiny_results(tiny_context):
+    """The tiny campaign executed through the artifact registry."""
+    from repro.experiments.registry import execute_plan, plan_union
+    from repro.experiments.reproduce import BUNDLE_ARTIFACTS
+
+    return execute_plan(plan_union(BUNDLE_ARTIFACTS, tiny_context)).results
+
+
+@pytest.fixture(scope="session")
+def tiny_bundle(tiny_context, tiny_results):
+    """A small but complete three-context campaign for experiment tests."""
+    from repro.experiments.registry import bundle_from_results
+
+    return bundle_from_results(tiny_context, tiny_results)
+
+
+@pytest.fixture(scope="session")
+def artifact_run():
+    """Every registered artifact's jobs at the artifact-golden scale,
+    executed once: ``(PlanContext, ResultMap)``."""
+    from repro import goldens
+
+    return goldens.execute_artifacts()

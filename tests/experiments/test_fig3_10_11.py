@@ -1,26 +1,30 @@
-"""Tests for the self-contained drivers: Fig 3 (stability), Fig 10 (real
-system) and Fig 11 (case study). These run their own small campaigns."""
+"""Tests for the artifacts that plan their own jobs: Fig 3 (stability),
+Fig 10 (real system) and Fig 11 (case study). Each is aggregated from the
+shared artifact campaign (``artifact_run``) through the registry."""
 
 import pytest
 
-from repro.config import scaled_config, xeon_config
 from repro.experiments import fig3, fig10, fig11
-from repro.sim import ExperimentScale
+from repro.experiments.registry import FIG3_REPEATS, get_artifact
+from repro.experiments.suites import FIG10_SUITE
 
-SMALL = ExperimentScale(warmup_instructions=1_000, sim_instructions=4_000,
-                        sample_interval=1_000)
+
+def aggregate(name, artifact_run):
+    """One artifact's result object from the shared campaign."""
+    ctx, results = artifact_run
+    return get_artifact(name).aggregate(ctx, results)
 
 
 class TestFig3:
     @pytest.fixture(scope="class")
-    def result(self, config):
-        return fig3.run_fig3(["435.gromacs", "470.lbm"], config, SMALL,
-                             p_values=(0.1, 0.5), n_repeats=3)
+    def result(self, artifact_run):
+        return aggregate("fig3", artifact_run)
 
-    def test_structure(self, result):
-        assert set(result.per_benchmark) == {"435.gromacs", "470.lbm"}
-        assert set(result.per_config) == {0.1, 0.5}
-        assert result.n_repeats == 3
+    def test_structure(self, result, artifact_run):
+        ctx, _ = artifact_run
+        assert set(result.per_benchmark) == set(ctx.suite[:4])
+        assert set(result.per_config) == set(ctx.p_values[::3])
+        assert result.n_repeats == FIG3_REPEATS
 
     def test_spreads_non_negative(self, result):
         for by_metric in result.per_benchmark.values():
@@ -34,11 +38,13 @@ class TestFig3:
 
     def test_medians_accessible(self, result):
         assert result.benchmark_median("470.lbm", "ipc") >= 0
-        assert result.config_median(0.5, "miss_rate") >= 0
+        for p in result.per_config:
+            assert result.config_median(p, "miss_rate") >= 0
 
-    def test_needs_two_repeats(self, config):
-        with pytest.raises(ValueError):
-            fig3.run_fig3(["435.gromacs"], config, SMALL, n_repeats=1)
+    def test_needs_two_repeats(self, result):
+        with pytest.raises(ValueError, match="at least two repeats"):
+            fig3.stability_from_repeats([{}], list(result.per_benchmark),
+                                        list(result.per_config))
 
     def test_report_renders(self, result):
         text = fig3.format_report(result)
@@ -47,18 +53,13 @@ class TestFig3:
 
 class TestFig10:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig10.run_fig10(
-            names=("619.lbm", "648.exchange2"),
-            config=xeon_config(),
-            scale=SMALL,
-            p_values=(0.05, 0.5, 1.0),
-            panel_size=1,
-        )
+    def result(self, artifact_run):
+        return aggregate("fig10", artifact_run)
 
     def test_points_per_benchmark(self, result):
-        assert set(result.real_points) == {"619.lbm", "648.exchange2"}
-        assert all(len(points) == 3 for points in result.pinte_points.values())
+        assert set(result.real_points) == set(FIG10_SUITE)
+        assert all(len(points) == len(fig10.FIG10_PINDUCE)
+                   for points in result.pinte_points.values())
 
     def test_allocation_fraction(self, result):
         assert result.allocation_fraction == pytest.approx(14 / 16)
@@ -85,17 +86,11 @@ class TestFig10:
 
 class TestFig11:
     @pytest.fixture(scope="class")
-    def result(self, config):
-        return fig11.run_fig11(
-            config, SMALL,
-            workloads=("450.soplex", "470.lbm"),
-            p_values=(0.0, 0.5),
-            dimensions=[d for d in fig11.DIMENSIONS
-                        if d.name in ("replacement", "branching")],
-        )
+    def result(self, artifact_run):
+        return aggregate("fig11", artifact_run)
 
     def test_dimensions_present(self, result):
-        assert set(result.sweeps) == {"replacement", "branching"}
+        assert set(result.sweeps) == {d.name for d in fig11.DIMENSIONS}
 
     def test_win_shares_sum_to_one(self, result):
         for sweep in result.sweeps.values():

@@ -1,18 +1,17 @@
-"""Tests for the partitioning extension study."""
+"""Tests for the partitioning extension study, aggregated from the shared
+artifact campaign (``artifact_run``) through the registry."""
 
 import pytest
 
 from repro.experiments import partition_study
-from repro.sim import ExperimentScale
-
-TINY = ExperimentScale(warmup_instructions=1_500, sim_instructions=8_000,
-                       sample_interval=2_000)
+from repro.experiments.registry import get_artifact
+from repro.sim.batch import Job, run_job
 
 
 @pytest.fixture(scope="module")
-def study(config):
-    return partition_study.run_partition_study(
-        config, TINY, repartition_interval=2_000)
+def study(artifact_run):
+    ctx, results = artifact_run
+    return get_artifact("partition_study").aggregate(ctx, results)
 
 
 class TestStudy:
@@ -48,7 +47,8 @@ class TestStudy:
         assert "Partitioning study" in text
         assert "casht" in text
 
-    def test_unknown_scheme_rejected(self, config):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            partition_study.run_partition_study(
-                config, TINY, schemes=("nucp",))
+    def test_unknown_scheme_rejected(self, config, tiny_scale):
+        job = Job("450.soplex", mode="multi", co_runners=("470.lbm",),
+                  scheme="nucp")
+        with pytest.raises(ValueError, match="unknown partitioning scheme"):
+            run_job(job, config, tiny_scale)

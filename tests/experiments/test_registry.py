@@ -1,19 +1,8 @@
 """Tests for the declarative artifact registry (plan/aggregate/render)."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import PAPER_PINDUCE_SWEEP
-from repro.experiments import (
-    contexts,
-    fig3,
-    fig10,
-    fig11,
-    ncore_study,
-    partition_study,
-    registry,
-)
 from repro.experiments.registry import (
     Artifact,
     PlanContext,
@@ -75,6 +64,11 @@ class TestPlanContext:
         assert ctx.suite == ("470.lbm",)
         assert ctx.p_values == (0.5,)
 
+    def test_negative_panel_rejected(self, config):
+        with pytest.raises(ValueError, match="panel_size must be >= 0"):
+            PlanContext(config=config, scale=TINY, suite=SUITE,
+                        panel_size=-3)
+
 
 class TestPlanPurity:
     """plan() must enumerate jobs without simulating or building traces."""
@@ -84,14 +78,8 @@ class TestPlanPurity:
         def forbidden(*args, **kwargs):
             raise AssertionError("plan() must not simulate or build traces")
 
-        targets = [contexts, fig3, fig10, fig11, ncore_study, partition_study]
-        attrs = ("simulate", "simulate_pair", "simulate_multiprogrammed",
-                 "TraceLibrary", "run_isolation", "run_pinte_sweep",
-                 "run_pairs", "build_trace")
-        for module in targets:
-            for attr in attrs:
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, forbidden)
+        # Every job runs through run_job, and every trace is built by
+        # build_packed.
         import repro.sim.batch as batch
         monkeypatch.setattr(batch, "run_job", forbidden)
         import repro.trace.synthetic as synthetic
@@ -109,7 +97,7 @@ class TestPlanPurity:
 
 
 class TestPlannedJobs:
-    def test_bundle_plan_matches_build_contexts_job_list(self, ctx):
+    def test_bundle_plan_job_order(self, ctx):
         planned = plan_bundle(ctx)
         jobs = [item.job for item in planned]
         # isolation first, then the sweep, then the panel pairs
@@ -148,6 +136,18 @@ class TestUnionPlan:
         # 450.soplex's isolation job is planned by both artifacts but
         # executes once.
         assert plan.planned_total == plan.unique_total + 1
+
+    def test_partition_pair_is_a_keyword(self, ctx):
+        from repro.experiments.registry import _plan_partition
+
+        default = [item.job for item in _plan_partition(ctx)]
+        swapped = [item.job for item in
+                   _plan_partition(ctx, pair=("605.mcf", "429.mcf"))]
+        assert default[0] == Job("450.soplex")
+        assert swapped[0] == Job("605.mcf")
+        assert swapped[1] == Job("429.mcf", trace_seed=TINY.seed + 1)
+        assert all(job.co_runners == ("429.mcf",) for job in swapped[2:])
+        assert len(swapped) == len(default)
 
     def test_quick_suite_union_counts_pinned(self, config):
         """Planned and unique job counts of the quick-suite reproduction
@@ -237,20 +237,14 @@ class TestExecutePlan:
 
 
 class TestAggregateReconstruction:
-    def test_bundle_roundtrip_matches_direct_bundle(self, tiny_bundle):
-        """bundle_from_results over planned-and-executed jobs rebuilds the
-        same structure build_contexts produced (spot-check via fig1)."""
+    def test_bundle_roundtrip_matches_direct_bundle(self, tiny_context,
+                                                    tiny_results,
+                                                    tiny_bundle):
+        """A bundle artifact's report is its ``run_*`` helper applied to
+        the bundle that bundle_from_results rebuilds (spot-check via
+        fig1)."""
         from repro.experiments import fig1
-        from repro.experiments.registry import bundle_from_results
 
-        ctx = PlanContext(config=tiny_bundle.config, scale=tiny_bundle.scale,
-                          suite=tuple(tiny_bundle.names),
-                          p_values=tuple(next(iter(
-                              tiny_bundle.pinte.values()))),
-                          panel_size=2)
-        plan = plan_union(["fig1"], ctx)
-        outcome = execute_plan(plan)
-        rebuilt = bundle_from_results(ctx, outcome.results)
-        assert rebuilt.names == tiny_bundle.names
-        assert (fig1.format_report(fig1.run_fig1(rebuilt))
+        assert tiny_bundle.names == list(tiny_context.suite)
+        assert (get_artifact("fig1").report(tiny_context, tiny_results)
                 == fig1.format_report(fig1.run_fig1(tiny_bundle)))

@@ -1,15 +1,8 @@
-"""Unit tests for the sweep runner and trace library."""
+"""Unit tests for the experiment scale, trace library and adversary panel."""
 
 import pytest
 
-from repro.sim import (
-    ExperimentScale,
-    TraceLibrary,
-    adversary_panel,
-    run_isolation,
-    run_pairs,
-    run_pinte_sweep,
-)
+from repro.sim import ExperimentScale, TraceLibrary, adversary_panel
 
 SCALE = ExperimentScale(warmup_instructions=500, sim_instructions=2000,
                         sample_interval=500)
@@ -22,6 +15,23 @@ class TestExperimentScale:
     def test_defaults(self):
         scale = ExperimentScale()
         assert scale.trace_length == scale.warmup_instructions + scale.sim_instructions
+
+    def test_zero_warmup_accepted(self):
+        assert ExperimentScale(warmup_instructions=0).trace_length == 40_000
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("warmup_instructions", -5, "warmup_instructions must be >= 0"),
+        ("sim_instructions", 0, "sim_instructions must be >= 1"),
+        ("sim_instructions", -5, "sim_instructions must be >= 1"),
+        ("sample_interval", 0, "sample_interval must be >= 1"),
+        ("sim_instructions", 2.5, "sim_instructions must be an int"),
+        ("sample_interval", 1000.0, "sample_interval must be an int"),
+        ("warmup_instructions", True, "warmup_instructions must be an int"),
+        ("seed", "1", "seed must be an int"),
+    ])
+    def test_bad_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentScale(**{field: value})
 
 
 class TestTraceLibrary:
@@ -41,28 +51,6 @@ class TestTraceLibrary:
     def test_trace_named_after_workload(self, config):
         library = TraceLibrary(config, SCALE)
         assert library.get("470.lbm").name == "470.lbm"
-
-
-class TestRunners:
-    def test_run_isolation(self, config):
-        results = run_isolation(["435.gromacs", "453.povray"], config, SCALE)
-        assert set(results) == {"435.gromacs", "453.povray"}
-        assert all(r.mode == "isolation" for r in results.values())
-
-    def test_run_pinte_sweep(self, config):
-        sweep = run_pinte_sweep(["435.gromacs"], config, SCALE,
-                                p_values=(0.1, 0.5))
-        assert set(sweep["435.gromacs"]) == {0.1, 0.5}
-        for p, result in sweep["435.gromacs"].items():
-            assert result.p_induce == p
-            assert result.mode == "pinte"
-
-    def test_run_pairs(self, config):
-        pairs = [("435.gromacs", "470.lbm")]
-        results = run_pairs(pairs, config, SCALE)
-        result = results[("435.gromacs", "470.lbm")]
-        assert result.trace_name == "435.gromacs"
-        assert result.co_runner == "470.lbm"
 
 
 class TestAdversaryPanel:

@@ -220,6 +220,38 @@ class TestPartitionStudyCommand:
         assert "Partitioning study" in out
         assert "casht" in out
 
+    def test_victim_and_aggressor(self, capsys):
+        assert main(["partition-study", "--victim", "605.mcf",
+                     "--aggressor", "429.mcf", "--instructions", "3000",
+                     "--warmup", "500"]) == 0
+        out = capsys.readouterr().out
+        assert "605.mcf (victim) vs 429.mcf (aggressor)" in out
+
+    def test_unknown_victim_is_one_line_error(self):
+        with pytest.raises(SystemExit, match="^repro: unknown workload"):
+            main(["partition-study", "--victim", "999.nope"])
+
+
+class TestScaleFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["reproduce", "--instructions", "0"],
+         "repro: --instructions must be >= 1, got 0"),
+        (["run", "470.lbm", "--instructions", "-5"],
+         "repro: --instructions must be >= 1, got -5"),
+        (["run", "470.lbm", "--warmup", "-5"],
+         "repro: --warmup must be >= 0, got -5"),
+        (["artifact", "plan", "fig1", "--panel", "-3"],
+         "repro: --panel must be >= 0, got -3"),
+        (["campaign", "run", "--store", "unused.jsonl", "--workloads",
+          "470.lbm", "--panel", "-1"],
+         "repro: --panel must be >= 0, got -1"),
+    ])
+    def test_out_of_range_is_one_line_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert str(info.value.code) == message
+        assert capsys.readouterr().out == ""
+
 
 class TestTrace:
     def test_writes_trace(self, tmp_path, capsys):
