@@ -1,6 +1,6 @@
-"""Pinned Python-call budget of the timing hosts, per simulated instruction.
+"""Pinned Python-call budget of the hosts, per unit of simulated work.
 
-Runs three small fixed calls under the stdlib ``cProfile``:
+Runs five small fixed calls under the stdlib ``cProfile``:
 
 * ``pair``: ``simulate_pair(470.lbm, 450.soplex)``, the 2nd-Trace host
   (two cores, the multicore scheduler, natural thefts);
@@ -13,6 +13,10 @@ Runs three small fixed calls under the stdlib ``cProfile``:
   private stage (``repro.sim.private``): its ``pinte``, ``tracker`` and
   ``dram`` calls are those of the 12 runs alone, its ``cache``,
   ``branch`` and ``replacement`` calls close to one run's private stage;
+* ``replay``: ``simulate_cache_only(450.soplex, pinte=PinteConfig(0.1))``,
+  the cache-only host (L2-sized filter, LLC, replacement and PInTE only).
+  ``FastCacheResult`` has no instruction count, so its unit is trace
+  records, not instructions;
 
 and counts the calls of Python functions defined in the ``repro`` package,
 folded into the layers of ``perfbench/layers.py``. A ``repro`` module in no
@@ -47,7 +51,7 @@ import os
 import pstats
 import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import repro
 from repro.campaign import run_campaign
@@ -56,6 +60,7 @@ from repro.core import PAPER_PINDUCE_SWEEP, PinteConfig
 from repro.obs import Observation
 from repro.sim import ExperimentScale
 from repro.sim.batch import Job
+from repro.sim.fastcache import simulate_cache_only
 from repro.sim.multicore import simulate_pair
 from repro.sim.simulator import simulate
 from repro.trace import build_trace, get_workload
@@ -88,6 +93,8 @@ SWEEP_SCALE = ExperimentScale(warmup_instructions=500, sim_instructions=1_500,
                               sample_interval=500, seed=SEED)
 SWEEP_JOBS = tuple(Job("470.lbm", mode="pinte", p_induce=p)
                    for p in PAPER_PINDUCE_SWEEP)
+#: Trace records of the ``replay`` call (its unit of work).
+REPLAY_RECORDS = 5_000
 
 _PACKAGE = str(Path(repro.__file__).resolve().parent) + os.sep
 
@@ -120,10 +127,17 @@ def _pinte_sweep(config):
                                  trace_store=MemoryTraceStore()).results), None
 
 
+def _replay(config):
+    trace = build_trace(get_workload("450.soplex"), REPLAY_RECORDS, SEED,
+                        config.llc.size)
+    return (lambda: [simulate_cache_only(
+        trace, config, pinte=PinteConfig(0.1, seed=SEED), seed=SEED)]), None
+
+
 #: Each factory returns the call to profile (it returns a list of results)
 #: and the observation it records into (None when observation is off).
 WORKLOADS = {"pair": _pair, "pinte": _pinte, "pinte-events": _pinte_events,
-             "pinte-sweep": _pinte_sweep}
+             "pinte-sweep": _pinte_sweep, "replay": _replay}
 
 
 def profile_calls(call):
@@ -144,16 +158,19 @@ def profile_calls(call):
 
 
 def measure(name: str) -> Dict[str, object]:
-    """One workload's instructions (all cores), ``repro`` calls per layer
-    and, when it traces events, the events recorded, from a fresh profiled
-    call."""
+    """One workload's work (instructions of all cores, or trace records on
+    the cache-only host), ``repro`` calls per layer and, when it traces
+    events, the events recorded, from a fresh profiled call."""
     call, observe = WORKLOADS[name](scaled_config())
     results, calls = profile_calls(call)
-    instructions = sum(
-        result.instructions + int(result.extra.get("secondary_instructions",
-                                                   0))
-        for result in results)
-    counts = {"instructions": instructions, "calls": calls}
+    if name == "replay":
+        counts = {"records": REPLAY_RECORDS * len(results), "calls": calls}
+    else:
+        instructions = sum(
+            result.instructions
+            + int(result.extra.get("secondary_instructions", 0))
+            for result in results)
+        counts = {"instructions": instructions, "calls": calls}
     if observe is not None:
         counts["events"] = observe.events.recorded
     return counts
@@ -164,31 +181,39 @@ def measure_all() -> Dict[str, Dict[str, object]]:
     return {name: measure(name) for name in WORKLOADS}
 
 
-def per_instruction(counts: Dict[str, object]) -> Dict[str, float]:
-    """Calls per simulated instruction, per layer and in ``total``."""
-    instructions = counts["instructions"]
-    figures = {layer: calls / instructions
+def work(counts: Dict[str, object]) -> Tuple[str, int]:
+    """The unit a workload's calls are counted per, and how many it did."""
+    unit = "records" if "records" in counts else "instructions"
+    return unit, counts[unit]
+
+
+def per_unit(counts: Dict[str, object]) -> Dict[str, float]:
+    """Calls per unit of work, per layer and in ``total``."""
+    _unit, done = work(counts)
+    figures = {layer: calls / done
                for layer, calls in counts["calls"].items()}
-    figures["total"] = sum(counts["calls"].values()) / instructions
+    figures["total"] = sum(counts["calls"].values()) / done
     return figures
 
 
 def _report(measured, pinned) -> bool:
-    """Print measured vs pinned calls per instruction; True when equal."""
+    """Print measured vs pinned calls per unit of work; True when equal."""
     same = True
     for name, counts in measured.items():
         reference = pinned.get(name)
-        print(f"{name}: {counts['instructions']} instructions")
+        unit, done = work(counts)
+        print(f"{name}: {done} {unit}")
         if "events" in counts:
             before_events = (reference or {}).get("events")
             mark = "" if counts["events"] == before_events else "  (changed)"
             print(f"  {'events':12s} {counts['events']:8d} recorded"
                   f"  pinned {before_events}{mark}")
-        now = per_instruction(counts)
-        before = per_instruction(reference) if reference else {}
+        now = per_unit(counts)
+        before = per_unit(reference) if reference else {}
         for layer in sorted(set(now) | set(before)):
             mark = "" if now.get(layer) == before.get(layer) else "  (changed)"
-            print(f"  {layer:12s} {now.get(layer, 0.0):8.3f} per instr"
+            print(f"  {layer:12s} {now.get(layer, 0.0):8.3f}"
+                  f" per {unit[:-1]}"
                   f"  pinned {before.get(layer, 0.0):8.3f}{mark}")
         same = same and counts == reference
     return same

@@ -433,3 +433,37 @@ class Cache:
             f"Cache({self.name}, {self.size // 1024}KB, {self.assoc}-way, "
             f"{self.policy_name})"
         )
+
+
+class LruFilter:
+    """Residency-only LRU filter: which blocks an LRU :class:`Cache` holds.
+
+    The cache-only host puts an L2-sized filter in front of the LLC and
+    reads only hit or miss from it. An LRU cache that is filled after every
+    miss and never invalidated holds exactly the last ``assoc`` distinct
+    blocks of each set, so one insertion-ordered dict per set (LRU first,
+    MRU last) answers every access exactly as that cache would, without
+    dirty bits, owners, statistics or a replacement policy.
+    """
+
+    def __init__(self, size: int, assoc: int, block_size: int = 64) -> None:
+        if size % (assoc * block_size) != 0:
+            raise ValueError(
+                f"filter: size {size} not divisible by assoc*block "
+                f"({assoc}x{block_size})")
+        self.assoc = assoc
+        self.n_sets = size // (assoc * block_size)
+        self._offset_bits = ilog2(block_size)
+        self._set_mask = (1 << ilog2(self.n_sets)) - 1  # power-of-two sets
+        self._sets: List[dict] = [dict() for _ in range(self.n_sets)]
+
+    def access(self, block_addr: int) -> bool:
+        """True on a hit. Either way ``block_addr`` ends up MRU; a miss
+        drops the set's LRU block once the set holds more than ``assoc``."""
+        blocks = self._sets[(block_addr >> self._offset_bits)
+                            & self._set_mask]
+        hit = blocks.pop(block_addr, False)
+        blocks[block_addr] = True
+        if not hit and len(blocks) > self.assoc:
+            del blocks[next(iter(blocks))]
+        return hit

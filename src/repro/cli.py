@@ -55,6 +55,7 @@ from repro.configio import load_machine_config, machine_to_dict, machine_to_toml
 from repro.configs import get_machine_config, iter_registries
 from repro.core import PAPER_PINDUCE_SWEEP, PinteConfig
 from repro.experiments.reporting import format_table
+from repro.experiments.reproduce import STANDALONE_ARTIFACTS
 from repro.sim import ExperimentScale, TraceLibrary, simulate, simulate_pair
 from repro.trace import (
     SPEC_WORKLOADS,
@@ -1181,7 +1182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--panel", type=int, default=3,
                          help="2nd-Trace adversaries per benchmark")
     p_repro.add_argument("--full", action="store_true",
-                         help="include the standalone Fig 3/10/11 campaigns")
+                         help="also run the standalone artifacts: "
+                              + ", ".join(STANDALONE_ARTIFACTS))
     p_repro.add_argument("--output", default=None,
                          help="directory to write <artifact>.txt reports")
     p_repro.add_argument("--processes", type=int, default=None,

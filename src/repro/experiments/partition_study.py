@@ -30,6 +30,8 @@ class SchemeOutcome:
     scheme: str
     results: List[SimulationResult]
     throughput: Dict[str, float]
+    #: Per-core weighted IPC: co-run IPC over the core's isolated IPC.
+    weighted_ipcs: List[float]
     final_quotas: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -41,7 +43,7 @@ class SchemeOutcome:
         return self.throughput_component(0)
 
     def throughput_component(self, core: int) -> float:
-        return self.results[core].extra.get(f"wipc_core{core}", 0.0)
+        return self.weighted_ipcs[core]
 
 
 @dataclass
@@ -63,14 +65,15 @@ def outcome_from_results(
     """Build one scheme's outcome from its per-core and isolation results.
 
     Called by the artifact registry's aggregate phase, once per scheme.
+    The results are the registry's shared campaign results, so they are
+    only read.
     """
-    throughput = throughput_report(results, isolations)
-    for core, (shared, alone) in enumerate(zip(results, isolations)):
-        results[core].extra[f"wipc_core{core}"] = shared.ipc / alone.ipc
     return SchemeOutcome(
         scheme=scheme,
         results=results,
-        throughput=throughput,
+        throughput=throughput_report(results, isolations),
+        weighted_ipcs=[shared.ipc / alone.ipc
+                       for shared, alone in zip(results, isolations)],
         final_quotas=final_quotas,
     )
 

@@ -4,10 +4,17 @@ The paper notes PInTE "can be implemented in the shared cache of multi-core
 simulators" — the engine only needs a replacement-stack API. This module
 proves the point with a second, much lighter host: no core timing, no DRAM,
 no private caches — just the LLC fed by the trace's memory accesses
-(optionally filtered through a tiny L2-like filter cache). It cannot produce
+(optionally filtered through an L2-sized filter). It cannot produce
 IPC/AMAT, but it measures miss rates, theft/interference rates and reuse
 histograms 5-10x faster than the full simulator, which makes it the right
 tool for wide early-stage contention-rate sweeps.
+
+The filter is a residency-only LRU filter
+(:class:`~repro.cache.cache.LruFilter`): it answers hit or miss and keeps
+no dirty bits, owners, statistics or replacement policy. It is exact: an
+LRU cache that is filled after every miss and never invalidated holds
+exactly the last ``assoc`` distinct blocks of each set, and which blocks
+are resident is all this host reads from it.
 
 This host is a thin composition over :mod:`repro.sim.session`:
 :class:`~repro.sim.session.AccessReplayStepper` owns the inlined
@@ -88,8 +95,9 @@ def simulate_cache_only(
 ) -> FastCacheResult:
     """Replay a trace's memory accesses through the LLC alone.
 
-    ``filter_cache`` interposes an L2-sized cache so only its misses reach
-    the LLC — roughly the access stream the full hierarchy would deliver.
+    ``filter_cache`` interposes an L2-sized LRU filter so only its misses
+    reach the LLC — roughly the access stream the full hierarchy would
+    deliver.
     ``warmup_accesses`` LLC accesses are replayed before statistics reset;
     a trace whose stream ends before completing the warm-up raises
     :class:`ValueError` (it used to silently return warm-up-contaminated

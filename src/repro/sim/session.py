@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import List, Optional
 
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, LruFilter
 from repro.cache.hierarchy import MemoryHierarchy, SharedPort, build_llc
 from repro.config import MachineConfig
 from repro.core import ContentionTracker, PInTE, PinteConfig
@@ -63,7 +63,6 @@ from repro.owners import SYSTEM_OWNER
 from repro.sim.results import SimulationResult
 from repro.trace.packed import (
     FLAG_HAS_LOAD,
-    FLAG_HAS_STORE,
     FLAG_MEMORY,
     PackedTrace,
     as_packed,
@@ -195,7 +194,7 @@ class Session:
     dram: Optional[Dram] = None
     hierarchies: List[MemoryHierarchy] = field(default_factory=list)
     cores: List[Core] = field(default_factory=list)
-    filters: List[Optional[Cache]] = field(default_factory=list)
+    filters: List[Optional[LruFilter]] = field(default_factory=list)
     n_owners: int = 1
     wall_start: float = 0.0
     replayed: bool = False
@@ -356,10 +355,15 @@ class SessionBuilder:
                          filter_cache: bool = True) -> Session:
         """The LLC-only replay machine of the cache-only host.
 
-        Each owner gets a private L2-sized filter cache (when
+        Each owner gets a private L2-sized :class:`LruFilter` (when
         ``filter_cache``); the LLC, tracker and PInTE engine are shared.
-        The LLC is deliberately built without the configured hash-index
-        function — the historical behaviour of this host, kept bit-exact.
+        The filter tracks residency only: an LRU cache filled after every
+        miss and never invalidated holds exactly the last ``assoc``
+        distinct blocks of each set, and hit or miss is all the replay
+        reads, so it passes the same accesses to the LLC as an LRU
+        :class:`Cache` would. The LLC is deliberately built without the
+        configured hash-index function — the historical behaviour of this
+        host, kept bit-exact.
         """
         config, seed = self.config, self.seed
         tracker = ContentionTracker()
@@ -367,9 +371,8 @@ class SessionBuilder:
                     config.block_size, latency=config.llc.latency,
                     policy=config.llc.policy, policy_seed=seed,
                     track_reuse=True)
-        filters: List[Optional[Cache]] = [
-            Cache("L2f", config.l2.size, config.l2.assoc, config.block_size,
-                  latency=config.l2.latency, policy="lru")
+        filters: List[Optional[LruFilter]] = [
+            LruFilter(config.l2.size, config.l2.assoc, config.block_size)
             if filter_cache else None
             for _ in range(n_owners)
         ]
@@ -598,8 +601,8 @@ class AccessReplayStepper:
     """The cache-only host's access-replay loop for one owner's stream.
 
     Replays a packed trace's memory accesses through an optional L2-sized
-    filter cache into the shared LLC, with the single-owner contention
-    accounting inlined (same arithmetic as
+    residency-only LRU filter into the shared LLC, with the single-owner
+    contention accounting inlined (same arithmetic as
     ``ContentionTracker.record_access``/``record_refill``). Runs are
     resumable: ``run(limit)`` stops after ``limit`` LLC accesses and a
     later call continues from the same record — which is how the session
@@ -662,9 +665,7 @@ class AccessReplayStepper:
         llc_hashed = llc.hash_index
         llc_offset_bits = llc._offset_bits
         llc_set_mask = llc._set_mask
-        l2 = self.filter
-        l2_access = l2.access if l2 is not None else None
-        l2_fill = l2.fill if l2 is not None else None
+        l2_access = self.filter.access if self.filter is not None else None
         engine = self.engine
         engine_tick = engine.on_llc_access if engine is not None else None
         record_theft = self.tracker.record_theft if self.record_thefts else None
@@ -694,15 +695,11 @@ class AccessReplayStepper:
                 break
             if flag & FLAG_HAS_LOAD:
                 address = load_col[index]
-                is_store = (flag & FLAG_HAS_STORE) != 0
             else:  # store-only instruction
                 address = store_col[index]
-                is_store = True
             block = address & block_mask
-            if l2_access is not None:
-                if l2_access(block, is_store, owner):
-                    continue
-                l2_fill(block, owner, dirty=is_store)
+            if l2_access is not None and l2_access(block):
+                continue
             if events_live:
                 self.seen = seen  # live event clock for this access
             cycle = seen if shared is None else shared[0]

@@ -1,10 +1,19 @@
 """Tests for the partitioning extension study, aggregated from the shared
 artifact campaign (``artifact_run``) through the registry."""
 
+import copy
+
 import pytest
 
+from repro import goldens
+from repro.config import scaled_config
 from repro.experiments import partition_study
-from repro.experiments.registry import get_artifact
+from repro.experiments.registry import (
+    PlanContext,
+    execute_plan,
+    get_artifact,
+    plan_union,
+)
 from repro.sim.batch import Job, run_job
 
 
@@ -52,3 +61,22 @@ class TestStudy:
                   scheme="nucp")
         with pytest.raises(ValueError, match="unknown partitioning scheme"):
             run_job(job, config, tiny_scale)
+
+
+def test_aggregate_leaves_shared_results_unchanged():
+    # The registry's ResultMap is shared by every artifact aggregated from
+    # one campaign, so aggregating the study must only read its results.
+    ctx = PlanContext(config=scaled_config(), scale=goldens.ARTIFACT_SCALE,
+                      suite=goldens.ARTIFACT_SUITE,
+                      p_values=goldens.ARTIFACT_P_VALUES,
+                      panel_size=goldens.ARTIFACT_PANEL)
+    plan = plan_union(["partition_study"], ctx)
+    results = execute_plan(plan).results
+    every = []
+    for planned in plan.unique:
+        result = results.get(planned)
+        every.extend([result, *result.co_results])
+    before = [copy.deepcopy(result.extra) for result in every]
+    study = get_artifact("partition_study").aggregate(ctx, results)
+    assert [result.extra for result in every] == before
+    assert study.outcome("shared").throughput_component(1) > 0

@@ -1,4 +1,4 @@
-"""The timing hosts' pinned Python-call budget (``scripts/frame_budget.py``).
+"""The hosts' pinned Python-call budget (``scripts/frame_budget.py``).
 
 Interpreter frames are most of a simulated instruction's host cost, and how
 many the per-access path makes is exact for a fixed run. This test pins the
@@ -9,7 +9,8 @@ run with observation off and so pin what the hooks cost when nothing
 observes; the third pins what tracing costs and how many events it records.
 A fourth, an inline campaign of the 12-point PInTE sweep, pins what the
 private-stream memo saves: one private stage replayed through twelve shared
-stages. After an intended change, re-pin with
+stages. A fifth, a small cache-only replay under PInTE, pins the calls of
+that host per trace record. After an intended change, re-pin with
 ``PYTHONPATH=src python scripts/frame_budget.py --update``.
 """
 
@@ -39,7 +40,7 @@ PINNED = json.loads(frame_budget.PINNED.read_text())
 @pytest.mark.parametrize("workload", sorted(frame_budget.WORKLOADS))
 def test_calls_per_layer_match_the_pinned_budget(workload):
     measured = frame_budget.measure(workload)
-    assert measured["instructions"] == PINNED[workload]["instructions"]
+    assert frame_budget.work(measured) == frame_budget.work(PINNED[workload])
     assert measured["calls"] == PINNED[workload]["calls"], (
         "per-layer repro calls moved; if intended, re-pin with "
         "`PYTHONPATH=src python scripts/frame_budget.py --update`")
@@ -47,12 +48,17 @@ def test_calls_per_layer_match_the_pinned_budget(workload):
 
 
 def test_budget_covers_the_per_access_layers():
-    # Both runs reach the cache data path; only the PInTE run the engine.
-    for counts in PINNED.values():
-        for layer in ("cache", "replacement", "hierarchy", "tracker", "dram"):
-            assert counts["calls"][layer] > 0, layer
+    # Every timing run reaches the cache data path; only the PInTE runs the
+    # engine. The cache-only replay has no private hierarchy and no DRAM.
+    for name, counts in PINNED.items():
+        layers = (("cache", "replacement", "pinte") if name == "replay" else
+                  ("cache", "replacement", "hierarchy", "tracker", "dram"))
+        for layer in layers:
+            assert counts["calls"][layer] > 0, (name, layer)
     assert PINNED["pinte"]["calls"]["pinte"] > 0
     assert "pinte" not in PINNED["pair"]["calls"]
+    assert "hierarchy" not in PINNED["replay"]["calls"]
+    assert "dram" not in PINNED["replay"]["calls"]
 
 
 def test_traced_run_records_events():
