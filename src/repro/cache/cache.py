@@ -435,6 +435,139 @@ class Cache:
         )
 
 
+class LruLevel:
+    """A private LRU cache level: one recency-ordered dict per set.
+
+    Each set maps ``block -> dirty | prefetched << 1`` in insertion order,
+    least recently used first, so a hit or a new block moves to the end
+    and a full set evicts its first key. It answers every ``access``,
+    ``fill``, ``probe``, ``mark_dirty`` and ``invalidate`` exactly as
+    ``Cache(policy="lru")`` does, with the same :class:`CacheStats`:
+
+    * in a full set ``Cache`` evicts the tail of its recency stack, the
+      least recently hit or filled valid block, which is the dict's first
+      key;
+    * a fill into a set that is not full takes the lowest invalid way,
+      which only way numbers show, and a private level has no reader of
+      way numbers: no events, no reuse histogram, no PInTE, no partition
+      quota. :meth:`probe` therefore answers 0 or -1.
+
+    :class:`~repro.cache.hierarchy.MemoryHierarchy` builds L1I, L1D and L2
+    this way whenever their configured policy is ``"lru"``. Every block
+    belongs to the level's core, ``owner``; the ``owner`` argument of
+    :meth:`access` and :meth:`fill` is there so the walk calls this level
+    and a :class:`Cache` alike. :class:`LruFilter` is the same structure
+    with only residency kept.
+    """
+
+    def __init__(self, name: str, size: int, assoc: int,
+                 block_size: int = 64, latency: int = 4,
+                 owner: int = 0) -> None:
+        if size % (assoc * block_size) != 0:
+            raise ValueError(
+                f"{name}: size {size} not divisible by assoc*block "
+                f"({assoc}x{block_size})")
+        self.name = name
+        self.size = size
+        self.assoc = assoc
+        self.block_size = block_size
+        self.latency = latency
+        self.owner = owner
+        self.n_sets = size // (assoc * block_size)
+        self._offset_bits = ilog2(block_size)
+        self._set_mask = (1 << ilog2(self.n_sets)) - 1  # power-of-two sets
+        self._sets: List[dict] = [dict() for _ in range(self.n_sets)]
+        self.stats = CacheStats()
+
+    def probe(self, block_addr: int) -> int:
+        """0 if ``block_addr`` is resident, else -1; no state change."""
+        blocks = self._sets[(block_addr >> self._offset_bits)
+                            & self._set_mask]
+        return 0 if block_addr in blocks else -1
+
+    def access(self, block_addr: int, is_write: bool, owner: int) -> bool:
+        """Demand access; updates stats and recency. True on hit."""
+        blocks = self._sets[(block_addr >> self._offset_bits)
+                            & self._set_mask]
+        stats = self.stats
+        stats.accesses += 1
+        if is_write:
+            stats.stores += 1
+        else:
+            stats.loads += 1
+        flags = blocks.pop(block_addr, -1)
+        if flags < 0:
+            stats.misses += 1
+            return False
+        stats.hits += 1
+        if is_write:
+            stats.store_hits += 1
+            flags |= 1
+        else:
+            stats.load_hits += 1
+        if flags & 2:
+            flags &= 1
+            stats.prefetch_useful += 1
+        blocks[block_addr] = flags
+        return True
+
+    def fill(self, block_addr: int, owner: int, dirty: bool = False,
+             prefetched: bool = False,
+             is_writeback_fill: bool = False) -> Optional[EvictedBlock]:
+        """Install ``block_addr`` as MRU; returns the evicted block, if any.
+
+        A resident block only gains ``dirty`` and keeps its place, as in
+        :meth:`Cache.fill`.
+        """
+        blocks = self._sets[(block_addr >> self._offset_bits)
+                            & self._set_mask]
+        stats = self.stats
+        flags = blocks.get(block_addr, -1)
+        if flags >= 0:
+            if dirty:
+                blocks[block_addr] = flags | 1
+            if is_writeback_fill:
+                stats.writeback_fills += 1
+            return None
+        evicted: Optional[EvictedBlock] = None
+        if len(blocks) == self.assoc:
+            tag = next(iter(blocks))
+            flags = blocks.pop(tag)
+            evicted = _new_tuple(EvictedBlock, (
+                tag, flags & 1 != 0, self.owner, flags > 1))
+            stats.evictions += 1
+            if flags & 1:
+                stats.writebacks += 1
+        if prefetched:
+            blocks[block_addr] = 3 if dirty else 2
+            stats.prefetch_fills += 1
+        else:
+            blocks[block_addr] = 1 if dirty else 0
+        if is_writeback_fill:
+            stats.writeback_fills += 1
+        return evicted
+
+    def mark_dirty(self, block_addr: int) -> bool:
+        """Set the dirty bit on a resident block (write-back arrival)."""
+        blocks = self._sets[(block_addr >> self._offset_bits)
+                            & self._set_mask]
+        flags = blocks.get(block_addr, -1)
+        if flags < 0:
+            return False
+        blocks[block_addr] = flags | 1
+        return True
+
+    def invalidate(self, block_addr: int) -> Optional[EvictedBlock]:
+        """Drop ``block_addr`` if present; returns its state for write-back."""
+        flags = self._sets[(block_addr >> self._offset_bits)
+                           & self._set_mask].pop(block_addr, -1)
+        if flags < 0:
+            return None
+        self.stats.invalidations += 1
+        return _new_tuple(EvictedBlock, (
+            block_addr, flags & 1 != 0, self.owner, flags > 1))
+
+
 class LruFilter:
     """Residency-only LRU filter: which blocks an LRU :class:`Cache` holds.
 
@@ -443,7 +576,10 @@ class LruFilter:
     miss and never invalidated holds exactly the last ``assoc`` distinct
     blocks of each set, so one insertion-ordered dict per set (LRU first,
     MRU last) answers every access exactly as that cache would, without
-    dirty bits, owners, statistics or a replacement policy.
+    dirty bits, owners, statistics or a replacement policy. It is
+    :class:`LruLevel`, the private LRU level of the timing hosts'
+    :class:`~repro.cache.hierarchy.MemoryHierarchy`, with only residency
+    kept.
     """
 
     def __init__(self, size: int, assoc: int, block_size: int = 64) -> None:

@@ -23,14 +23,19 @@ Inclusion (paper Section III-C b):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
-from repro.cache.cache import Cache, CacheStats, EvictedBlock
+from repro.cache.cache import Cache, CacheStats, EvictedBlock, LruLevel
 from repro.owners import SYSTEM_OWNER
-from repro.config import MachineConfig
+from repro.config import CacheLevelConfig, MachineConfig
 from repro.core.counters import ContentionTracker
 from repro.dram import Dram
 from repro.prefetch import Prefetcher, make_prefetcher
+
+
+#: A private level: an :class:`LruLevel` for the ``"lru"`` policy, else a
+#: :class:`Cache` running the configured policy.
+PrivateLevel = Union[LruLevel, Cache]
 
 
 def build_llc(config: MachineConfig, seed: int = 0) -> Cache:
@@ -177,6 +182,17 @@ class MemoryHierarchy(SharedPort):
     The lockstep demand walk: L1I/L1D/L2 and their prefetchers run here,
     and each access's LLC-side effects run at once through the inherited
     shared stage.
+
+    A private level whose configured policy is ``"lru"`` (every shipped
+    config) is a :class:`~repro.cache.cache.LruLevel`, one recency-ordered
+    dict per set, which behaves exactly as ``Cache(policy="lru")`` for
+    everything this walk reads: hit or miss, the evicted block's tag and
+    dirty bit, and the level's :class:`~repro.cache.cache.CacheStats`.
+    Way numbers are the only difference, and no reader of a private level
+    sees them (no events, reuse tracking, PInTE or partitioning act on
+    one). A level with any other policy is a :class:`Cache` running it.
+    The cache-only host's :class:`~repro.cache.cache.LruFilter` is the
+    same structure with only residency kept.
     """
 
     def __init__(
@@ -191,15 +207,20 @@ class MemoryHierarchy(SharedPort):
     ) -> None:
         super().__init__(config, owner, llc=llc, dram=dram, tracker=tracker,
                          registry=registry, seed=seed)
-        self.l1i = Cache("L1I", config.l1i.size, config.l1i.assoc, config.block_size,
-                         config.l1i.latency, config.l1i.policy, policy_seed=seed)
-        self.l1d = Cache("L1D", config.l1d.size, config.l1d.assoc, config.block_size,
-                         config.l1d.latency, config.l1d.policy, policy_seed=seed)
-        self.l2 = Cache("L2", config.l2.size, config.l2.assoc, config.block_size,
-                        config.l2.latency, config.l2.policy, policy_seed=seed)
+        self.l1i = self._make_level("L1I", config.l1i, seed)
+        self.l1d = self._make_level("L1D", config.l1d, seed)
+        self.l2 = self._make_level("L2", config.l2, seed)
         self.l1i_prefetcher = self._make_prefetcher(config.l1i.prefetcher)
         self.l1d_prefetcher = self._make_prefetcher(config.l1d.prefetcher)
         self.l2_prefetcher = self._make_prefetcher(config.l2.prefetcher)
+
+    def _make_level(self, name: str, level: CacheLevelConfig,
+                    seed: int) -> PrivateLevel:
+        if level.policy == "lru":
+            return LruLevel(name, level.size, level.assoc, self.block_size,
+                            level.latency, self.owner)
+        return Cache(name, level.size, level.assoc, self.block_size,
+                     level.latency, level.policy, policy_seed=seed)
 
     def _make_prefetcher(self, name: str) -> Optional[Prefetcher]:
         if name == "none":
@@ -228,7 +249,7 @@ class MemoryHierarchy(SharedPort):
         block = address & ~(self.block_size - 1)
         return self._demand(self.l1d, self.l1d_prefetcher, pc, block, True, cycle)
 
-    def _demand(self, l1: Cache, l1_prefetcher: Optional[Prefetcher],
+    def _demand(self, l1: PrivateLevel, l1_prefetcher: Optional[Prefetcher],
                 pc: int, block: int, is_write: bool, cycle: int) -> int:
         owner = self.owner
         latency = l1.latency
@@ -306,14 +327,15 @@ class MemoryHierarchy(SharedPort):
                 self.dram.access(block, cycle, is_write=True)
 
     # -------------------------------------------------------------- prefetching
-    def _run_prefetcher(self, level: Cache, prefetcher: Optional[Prefetcher],
-                        pc: int, block: int, hit: bool, cycle: int) -> None:
+    def _run_prefetcher(self, level: PrivateLevel,
+                        prefetcher: Optional[Prefetcher], pc: int, block: int,
+                        hit: bool, cycle: int) -> None:
         if prefetcher is None:
             return
         for candidate in prefetcher.on_access(pc, block, hit):
             self._prefetch_fill(level, candidate, cycle)
 
-    def _prefetch_fill(self, target: Cache, block: int, cycle: int) -> None:
+    def _prefetch_fill(self, target: PrivateLevel, block: int, cycle: int) -> None:
         """Bring ``block`` into ``target`` speculatively (no latency charged
         to the core; DRAM bandwidth is consumed)."""
         if target.probe(block) >= 0:

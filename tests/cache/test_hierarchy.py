@@ -51,8 +51,8 @@ class TestDemandPath:
         hierarchy = make_hierarchy()
         hierarchy.store(0x400, 0x10000, 0)
         block = 0x10000 & ~(BLOCK - 1)
-        way = hierarchy.l1d.probe(block)
-        assert hierarchy.l1d.sets[hierarchy.l1d.set_index(block)][way].dirty
+        assert hierarchy.l1d.probe(block) >= 0
+        assert hierarchy.l1d.invalidate(block).dirty
 
     def test_fetch_uses_l1i(self):
         hierarchy = make_hierarchy()
@@ -85,9 +85,8 @@ class TestWritebackFlow:
             hierarchy.load(0x400, 0x10000 + i * BLOCK * hierarchy.l1d.n_sets, 0)
         block = 0x10000 & ~(BLOCK - 1)
         if hierarchy.l1d.probe(block) < 0:  # got evicted
-            way = hierarchy.l2.probe(block)
-            assert way >= 0
-            assert hierarchy.l2.sets[hierarchy.l2.set_index(block)][way].dirty
+            assert hierarchy.l2.probe(block) >= 0
+            assert hierarchy.l2.invalidate(block).dirty
 
     def test_llc_dirty_eviction_writes_dram(self):
         hierarchy = make_hierarchy()

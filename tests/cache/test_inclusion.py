@@ -116,9 +116,8 @@ class TestExclusive:
         evicted = hierarchy.l2.invalidate(0x10000)
         hierarchy._l2_eviction(evicted, 0)
         hierarchy.load(0x400, 0x10000, 100)
-        way = hierarchy.l2.probe(0x10000)
-        assert way >= 0
-        assert hierarchy.l2.sets[hierarchy.l2.set_index(0x10000)][way].dirty
+        assert hierarchy.l2.probe(0x10000) >= 0
+        assert hierarchy.l2.invalidate(0x10000).dirty
 
 
 class TestConfigValidation:
