@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Where does contention land? PInTE vs a real co-runner, spatially.
 
-Runs the same victim under (a) PInTE and (b) a streaming co-runner, records
-which LLC sets lose blocks to thefts, and prints the spatial distribution of
-contention: coverage (sets touched), entropy (blanketing vs targeting) and
-the hottest sets. This visualises the paper's design point — PInTE triggers
-on the *victim's own accesses*, so induced thefts track the victim's hot
-sets instead of blanketing the cache like tune-able adversary workloads do.
+Runs the same victim under (a) PInTE and (b) a streaming co-runner with an
+event trace attached, counts per LLC set the victim's blocks lost to
+thefts (PInTE's ``theft`` events, and ``evict`` events with cause
+``theft`` when the co-runner's fill displaced one) and prints the spatial
+distribution of contention: coverage (sets touched), entropy (blanketing
+vs targeting) and the hottest sets. This visualises the paper's design
+point — PInTE triggers on the *victim's own accesses*, so induced thefts
+track the victim's hot sets instead of blanketing the cache like
+tune-able adversary workloads do.
 
 Usage::
 
@@ -16,15 +19,12 @@ Usage::
 import sys
 
 from repro import PinteConfig, build_trace, get_workload, scaled_config
-from repro.analysis.topology import attach_topology
-from repro.cache.hierarchy import MemoryHierarchy, build_llc
-from repro.core import ContentionTracker, PInTE
-from repro.cpu import Core
-from repro.dram import Dram
+from repro.analysis.topology import TheftTopology
+from repro.obs import Observation
 from repro.sim import simulate_pair
 from repro.sim.simulator import simulate
 
-WARMUP, MEASURE = 6_000, 20_000
+WARMUP, MEASURE = 4_000, 12_000
 
 
 def describe(topology, label: str) -> None:
@@ -42,60 +42,37 @@ def describe(topology, label: str) -> None:
               f"{(index + 1) * topology.n_sets // 8 - 1:3d} |{bar} {count}")
 
 
-def run_pinte(victim_trace, config):
-    tracker = ContentionTracker()
-    llc = build_llc(config)
-    topology = attach_topology(tracker, llc.n_sets, victim_owner=0)
-    hierarchy = MemoryHierarchy(config, 0, llc=llc, tracker=tracker,
-                                registry={})
-    engine = PInTE(PinteConfig(p_induce=0.3, seed=1), llc, tracker)
-    hierarchy.attach_pinte(engine)
-    core = Core(config.core, hierarchy)
-    for record in victim_trace.records[:WARMUP + MEASURE]:
-        core.execute(record)
-    return topology
-
-
-def run_pair(victim_trace, adversary_trace, config):
-    # simulate_pair builds its own tracker internally, so for topology we
-    # re-create the shared fabric by hand.
-    tracker = ContentionTracker()
-    llc = build_llc(config)
-    topology = attach_topology(tracker, llc.n_sets, victim_owner=0)
-    dram = Dram(config.dram)
-    registry = {}
-    h0 = MemoryHierarchy(config, 0, llc=llc, dram=dram, tracker=tracker,
-                         registry=registry)
-    h1 = MemoryHierarchy(config, 1, llc=llc, dram=dram, tracker=tracker,
-                         registry=registry)
-    cores = [Core(config.core, h0), Core(config.core, h1)]
-    from repro.sim.multicore import _offset_trace
-
-    streams = [victim_trace.records, _offset_trace(adversary_trace, 1)]
-    indices = [0, 0]
-    executed = 0
-    while executed < WARMUP + MEASURE:
-        core_id = 0 if cores[0].cycle <= cores[1].cycle else 1
-        cores[core_id].execute(streams[core_id][indices[core_id]])
-        indices[core_id] = (indices[core_id] + 1) % len(streams[core_id])
-        if core_id == 0:
-            executed += 1
-    return topology
+def victim_topology(observe, n_sets: int) -> TheftTopology:
+    """The victim's (core 0's) thefts among a finished run's events."""
+    events = observe.events
+    if events.dropped:
+        print(f"  ({events.dropped} oldest events fell off the ring)")
+    return TheftTopology.from_events(events.events(), n_sets, owner=0)
 
 
 def main() -> None:
     victim_name = sys.argv[1] if len(sys.argv) > 1 else "450.soplex"
     adversary_name = sys.argv[2] if len(sys.argv) > 2 else "470.lbm"
     config = scaled_config()
+    n_sets = config.llc.size // (config.llc.assoc * config.block_size)
     victim = build_trace(get_workload(victim_name), WARMUP + MEASURE, 1,
                          config.llc.size)
     adversary = build_trace(get_workload(adversary_name), WARMUP + MEASURE, 2,
                             config.llc.size)
     print(f"victim: {victim_name}  adversary: {adversary_name}  "
-          f"LLC: {config.llc.size // 1024} KB / "
-          f"{config.llc.size // (config.llc.assoc * 64)} sets")
-    describe(run_pinte(victim, config), f"PInTE p=0.3 thefts of {victim_name}")
-    describe(run_pair(victim, adversary, config),
+          f"LLC: {config.llc.size // 1024} KB / {n_sets} sets")
+
+    observe = Observation.with_events()
+    simulate(victim, config, pinte=PinteConfig(p_induce=0.3, seed=1),
+             warmup_instructions=WARMUP, sim_instructions=MEASURE,
+             observe=observe)
+    describe(victim_topology(observe, n_sets),
+             f"PInTE p=0.3 thefts of {victim_name}")
+
+    observe = Observation.with_events()
+    simulate_pair(victim, adversary, config, warmup_instructions=WARMUP,
+                  sim_instructions=MEASURE, observe=observe)
+    describe(victim_topology(observe, n_sets),
              f"2nd-Trace ({adversary_name}) thefts of {victim_name}")
 
 

@@ -2,10 +2,10 @@
 
 PInTE's per-access trigger follows the workload's set-access distribution,
 while a real adversary follows its own; this module measures both. A
-:class:`TheftTopology` records per-set theft counts (fed from the tracker's
-theft events via a small adapter) and summarises their spatial distribution:
-coverage (fraction of sets ever hit), concentration (normalised entropy),
-and a hot-set list. Used by the diagnostics in the ablation benches and by
+:class:`TheftTopology` records per-set theft counts (built from a run's
+traced events with :meth:`TheftTopology.from_events`) and summarises their
+spatial distribution: coverage (fraction of sets ever hit), concentration
+(normalised entropy), and a hot-set list. Used by the diagnostics in the ablation benches and by
 users checking whether their adversary "blankets" the cache (the paper's
 complaint about tune-able workloads) or tracks the victim's hot sets.
 """
@@ -13,7 +13,7 @@ complaint about tune-able workloads) or tracks the victim's hot sets.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.util.bitops import ilog2
 
@@ -28,6 +28,23 @@ class TheftTopology:
         self._set_mask = n_sets - 1
         self.counts: List[int] = [0] * n_sets
         self.total = 0
+
+    @classmethod
+    def from_events(cls, events: Iterable, n_sets: int,
+                    owner: int) -> "TheftTopology":
+        """The thefts of ``owner``'s blocks among traced events
+        (:class:`~repro.obs.events.Event`): PInTE-induced ``theft`` events
+        and ``evict`` events with cause ``theft`` (another owner's fill
+        displaced the block), counted in the set each landed in."""
+        topology = cls(n_sets)
+        counts = topology.counts
+        for event in events:
+            if event.owner == owner and (
+                    event.kind == "theft"
+                    or (event.kind == "evict" and event.cause == "theft")):
+                counts[event.set_index] += 1
+                topology.total += 1
+        return topology
 
     def record(self, block_addr: int) -> None:
         """Count one theft of ``block_addr``."""
@@ -69,41 +86,3 @@ class TheftTopology:
         span = self.n_sets // buckets
         return [sum(self.counts[i * span:(i + 1) * span])
                 for i in range(buckets)]
-
-
-class TopologyRecorder:
-    """Adapter wiring a :class:`TheftTopology` into a contention tracker.
-
-    Wrap a tracker's ``record_theft`` so every theft also lands in the
-    topology::
-
-        topology = attach_topology(tracker, llc.n_sets)
-        ... run the simulation ...
-        print(topology.entropy())
-    """
-
-    def __init__(self, tracker, topology: TheftTopology,
-                 victim_owner: Optional[int] = None) -> None:
-        self.topology = topology
-        self.victim_owner = victim_owner
-        self._original = tracker.record_theft
-        self._tracker = tracker
-
-        def wrapped(victim, thief, block_addr, induced=False):
-            if self.victim_owner is None or victim == self.victim_owner:
-                self.topology.record(block_addr)
-            return self._original(victim, thief, block_addr, induced=induced)
-
-        tracker.record_theft = wrapped
-
-    def detach(self) -> None:
-        """Restore the tracker's original method."""
-        self._tracker.record_theft = self._original
-
-
-def attach_topology(tracker, n_sets: int, block_size: int = 64,
-                    victim_owner: Optional[int] = None) -> TheftTopology:
-    """Convenience: build, wire, and return a topology for ``tracker``."""
-    topology = TheftTopology(n_sets, block_size)
-    TopologyRecorder(tracker, topology, victim_owner)
-    return topology

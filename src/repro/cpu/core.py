@@ -24,12 +24,14 @@ from repro.trace.packed import (
     FLAG_HAS_LOAD,
     FLAG_HAS_STORE,
     FLAG_TAKEN,
+    PackedTrace,
 )
-from repro.trace.record import TraceRecord
 
 #: Stores retire through a write buffer; their latency is overlapped far more
 #: aggressively than loads.
 STORE_OVERLAP = 8.0
+
+_NO_LIMIT = float("inf")
 
 
 class CoreStats:
@@ -99,11 +101,19 @@ class PrivateCounters(NamedTuple):
 
 
 class Core:
-    """One core: executes trace records against its memory hierarchy."""
+    """One core: retires its trace against its memory hierarchy.
 
-    def __init__(self, config: CoreConfig, hierarchy: MemoryHierarchy) -> None:
+    The core owns its trace columns and its cursor into them (``index``,
+    the row the next instruction retires from); :meth:`run` is the one way
+    to retire instructions.
+    """
+
+    def __init__(self, config: CoreConfig, hierarchy: MemoryHierarchy,
+                 trace: PackedTrace) -> None:
         self.config = config
         self.hierarchy = hierarchy
+        self.trace = trace
+        self.index = 0
         self.predictor = make_predictor(config.branch_predictor)
         self.stats = CoreStats()
         self.cycle = 0
@@ -140,92 +150,27 @@ class Core:
                              + hierarchy.l1d.stats.prefetch_useful
                              + hierarchy.l2.stats.prefetch_useful))
 
-    def execute(self, record: TraceRecord) -> None:
-        """Retire one instruction, advancing the core clock.
+    def run(self, count: int, limit=_NO_LIMIT) -> int:
+        """Retire up to ``count`` instructions from the core's trace,
+        stopping early after one that leaves the clock at or past
+        ``limit``; returns how many retired.
 
-        The record-object front end of :meth:`execute_cols`: the record's
-        fields are packed into the same column values a packed trace holds.
+        The trace wraps at its end, ChampSim-style. A call whose clock is
+        already at or past ``limit`` retires exactly one instruction. The
+        clock, fetch state and statistics live in locals for the call and
+        are written back when it returns, so ``self.cycle`` is current
+        between calls only: a caller that must read the clock after every
+        instruction passes ``limit=0``.
         """
-        load, store = record.load_addr, record.store_addr
-        self.execute_cols(
-            record.pc, load or 0, store or 0,
-            (FLAG_HAS_LOAD if load is not None else 0)
-            | (FLAG_HAS_STORE if store is not None else 0)
-            | (FLAG_BRANCH if record.is_branch else 0)
-            | (FLAG_TAKEN if record.taken else 0)
-            | (FLAG_DEPENDENT if record.dependent else 0))
-
-    def execute_cols(self, pc: int, load_addr: int, store_addr: int,
-                     flags: int) -> None:
-        """Retire one instruction given trace column values (no record).
-
-        ``load_addr``/``store_addr`` are meaningful only when the matching
-        ``FLAG_HAS_LOAD``/``FLAG_HAS_STORE`` bit is set in ``flags``.
-        """
-        stats = self.stats
-        cost = self._issue_cost
-        stats.base_cycles += cost
-        hierarchy = self.hierarchy
-        l1_latency = self._l1d_latency
-
-        fetch_block = pc >> 6
-        if fetch_block != self._last_fetch_block:
-            self._last_fetch_block = fetch_block
-            fetch_latency = hierarchy.fetch(pc, self.cycle)
-            if fetch_latency > self._l1i_latency:
-                stall = fetch_latency - self._l1i_latency
-                cost += stall
-                stats.fetch_stall_cycles += stall
-
-        if flags & FLAG_HAS_LOAD:
-            latency = hierarchy.load(pc, load_addr, self.cycle)
-            stats.loads += 1
-            stats.mem_accesses += 1
-            stats.mem_access_cycles += latency
-            beyond_l1 = latency - l1_latency
-            if beyond_l1 > 0:
-                if flags & FLAG_DEPENDENT:
-                    stall = beyond_l1  # serialised: a true pointer chase
-                else:
-                    stall = beyond_l1 / self._mlp
-                cost += stall
-                stats.load_stall_cycles += stall
-        if flags & FLAG_HAS_STORE:
-            latency = hierarchy.store(pc, store_addr, self.cycle)
-            stats.stores += 1
-            stats.mem_accesses += 1
-            stats.mem_access_cycles += latency
-            beyond_l1 = latency - l1_latency
-            if beyond_l1 > 0:
-                stall = beyond_l1 / STORE_OVERLAP
-                cost += stall
-                stats.store_stall_cycles += stall
-        if flags & FLAG_BRANCH:
-            stats.branches += 1
-            if not self.predictor.update(pc, bool(flags & FLAG_TAKEN)):
-                cost += self._mispredict_penalty
-                stats.branch_stall_cycles += self._mispredict_penalty
-
-        stats.instructions += 1
-        self._cycle_accumulator += cost
-        whole = int(self._cycle_accumulator)
-        if whole:
-            self.cycle += whole
-            self._cycle_accumulator -= whole
-
-    def execute_block(self, pcs, loads, stores, flags, start: int,
-                      count: int) -> None:
-        """Retire ``count`` consecutive instructions from trace columns.
-
-        The hot-loop fast path behind :func:`repro.sim.simulator.simulate`:
-        one call per block instead of one per instruction, with the core's
-        clock, fetch state and statistics held in locals for the duration
-        and flushed back at the block boundary. Only safe when nothing
-        outside the core needs a per-instruction view of ``self.cycle``
-        (no periodic PInTE / background-DRAM hooks, no event tracing) —
-        callers with such hooks must use :meth:`execute_cols` per
-        instruction. Bit-identical to ``count`` :meth:`execute_cols` calls.
-        """
+        if count <= 0:
+            return 0
+        trace = self.trace
+        pcs = trace.pcs
+        loads = trace.loads
+        stores = trace.stores
+        flags = trace.flags
+        n_records = len(flags)
+        index = self.index
         stats = self.stats
         hierarchy = self.hierarchy
         fetch = hierarchy.fetch
@@ -251,55 +196,70 @@ class Core:
         load_stall_cycles = stats.load_stall_cycles
         store_stall_cycles = stats.store_stall_cycles
         branch_stall_cycles = stats.branch_stall_cycles
+        if cycle >= limit:
+            count = 1
 
-        for index in range(start, start + count):
-            flag = flags[index]
-            pc = pcs[index]
-            cost = issue_cost
-            base_cycles += issue_cost
-            fetch_block = pc >> 6
-            if fetch_block != last_fetch_block:
-                last_fetch_block = fetch_block
-                fetch_latency = fetch(pc, cycle)
-                if fetch_latency > l1i_latency:
-                    stall = fetch_latency - l1i_latency
-                    cost += stall
-                    fetch_stall_cycles += stall
-            if flag & FLAG_HAS_LOAD:
-                latency = load(pc, loads[index], cycle)
-                n_loads += 1
-                mem_accesses += 1
-                mem_access_cycles += latency
-                beyond_l1 = latency - l1d_latency
-                if beyond_l1 > 0:
-                    if flag & FLAG_DEPENDENT:
-                        stall = beyond_l1
-                    else:
-                        stall = beyond_l1 / mlp
-                    cost += stall
-                    load_stall_cycles += stall
-            if flag & FLAG_HAS_STORE:
-                latency = store(pc, stores[index], cycle)
-                n_stores += 1
-                mem_accesses += 1
-                mem_access_cycles += latency
-                beyond_l1 = latency - l1d_latency
-                if beyond_l1 > 0:
-                    stall = beyond_l1 / STORE_OVERLAP
-                    cost += stall
-                    store_stall_cycles += stall
-            if flag & FLAG_BRANCH:
-                n_branches += 1
-                if not predictor_update(pc, bool(flag & FLAG_TAKEN)):
-                    cost += mispredict_penalty
-                    branch_stall_cycles += mispredict_penalty
-            instructions += 1
-            accumulator += cost
-            whole = int(accumulator)
-            if whole:
-                cycle += whole
-                accumulator -= whole
+        retired = 0
+        while True:
+            if index == n_records:
+                index = 0
+            start = index
+            stop = min(n_records, start + count - retired)
+            for index in range(start, stop):
+                flag = flags[index]
+                pc = pcs[index]
+                cost = issue_cost
+                base_cycles += issue_cost
+                fetch_block = pc >> 6
+                if fetch_block != last_fetch_block:
+                    last_fetch_block = fetch_block
+                    fetch_latency = fetch(pc, cycle)
+                    if fetch_latency > l1i_latency:
+                        stall = fetch_latency - l1i_latency
+                        cost += stall
+                        fetch_stall_cycles += stall
+                if flag & FLAG_HAS_LOAD:
+                    latency = load(pc, loads[index], cycle)
+                    n_loads += 1
+                    mem_accesses += 1
+                    mem_access_cycles += latency
+                    beyond_l1 = latency - l1d_latency
+                    if beyond_l1 > 0:
+                        if flag & FLAG_DEPENDENT:
+                            stall = beyond_l1
+                        else:
+                            stall = beyond_l1 / mlp
+                        cost += stall
+                        load_stall_cycles += stall
+                if flag & FLAG_HAS_STORE:
+                    latency = store(pc, stores[index], cycle)
+                    n_stores += 1
+                    mem_accesses += 1
+                    mem_access_cycles += latency
+                    beyond_l1 = latency - l1d_latency
+                    if beyond_l1 > 0:
+                        stall = beyond_l1 / STORE_OVERLAP
+                        cost += stall
+                        store_stall_cycles += stall
+                if flag & FLAG_BRANCH:
+                    n_branches += 1
+                    if not predictor_update(pc, bool(flag & FLAG_TAKEN)):
+                        cost += mispredict_penalty
+                        branch_stall_cycles += mispredict_penalty
+                instructions += 1
+                accumulator += cost
+                whole = int(accumulator)
+                if whole:
+                    cycle += whole
+                    accumulator -= whole
+                    if cycle >= limit:
+                        break
+            index += 1
+            retired += index - start
+            if retired == count or cycle >= limit:
+                break
 
+        self.index = index
         self._last_fetch_block = last_fetch_block
         self.cycle = cycle
         self._cycle_accumulator = accumulator
@@ -314,3 +274,4 @@ class Core:
         stats.load_stall_cycles = load_stall_cycles
         stats.store_stall_cycles = store_stall_cycles
         stats.branch_stall_cycles = branch_stall_cycles
+        return retired

@@ -8,9 +8,8 @@ once, ahead of time, into a stream (:class:`repro.sim.private.PrivateStream`).
 access's latency from the level the stream says served it, sends the
 access's recorded LLC-side events through the core's
 :class:`~repro.cache.hierarchy.SharedPort` at the right cycles, and redoes
-:meth:`repro.cpu.core.Core.execute_block`'s cycle and statistics
-arithmetic in the same floating-point order. Results are bit-identical to
-the lockstep walk.
+:meth:`repro.cpu.core.Core.run`'s cycle and statistics arithmetic in the
+same floating-point order. Results are bit-identical to the lockstep walk.
 
 Stream layout, per access (one list for fetches, one for loads and stores,
 in program order): ``code = level | events << 2``, where ``level`` is 0
@@ -62,12 +61,10 @@ _NO_LIMIT = float("inf")
 class ReplayCore:
     """A core whose private stage was recorded: replays it through a port.
 
-    Stands in for :class:`~repro.cpu.core.Core` in a session: same
-    ``cycle``/``stats`` surface, the same ``execute_cols``/
-    ``execute_block`` entry points (the steppers' columns are the
-    stream's own trace, which the core reads itself), plus
-    :meth:`replay`, which also stops at a clock limit for the multicore
-    scheduler. Running past the stream's end grows the stream.
+    Stands in for :class:`~repro.cpu.core.Core` in a session: the same
+    ``cycle``/``stats`` surface and the same :meth:`run` contract, over
+    the stream's own trace. Running past the stream's end grows the
+    stream.
     """
 
     def __init__(self, machine, port, stream) -> None:
@@ -88,42 +85,37 @@ class ReplayCore:
         # The lockstep walk's sums: l1, l1 + l2, (l1 + l2) + llc (+ DRAM).
         self._fetch_latency = (l1i, l1i + l2, l1i + l2 + port.llc_latency)
         self._data_latency = (l1d, l1d + l2, l1d + l2 + port.llc_latency)
-        # Cursors into the stream: trace row, fetches, loads/stores,
-        # branches and events consumed so far.
-        self._index = 0
+        # Cursors into the stream: trace row (the next instruction's),
+        # fetches, loads/stores, branches and events consumed so far.
+        self.index = 0
         self._fetches = self._data = self._branches = self._events = 0
         #: The fetch/data/branch cursors at the warm-up reset.
         self._warm: Tuple[int, int, int] = (0, 0, 0)
 
-    def execute_cols(self, pc: int, load_addr: int, store_addr: int,
-                     flags: int) -> None:
-        """Retire the next recorded instruction."""
-        self.replay(1)
-
-    def execute_block(self, pcs, loads, stores, flags, start: int,
-                      count: int) -> None:
-        """Retire the next ``count`` recorded instructions."""
-        self.replay(count)
-
-    def replay(self, count: int, limit=_NO_LIMIT) -> int:
+    def run(self, count: int, limit=_NO_LIMIT) -> int:
         """Retire up to ``count`` instructions, stopping early after one
-        that leaves the clock at or past ``limit``; returns how many."""
+        that leaves the clock at or past ``limit``; returns how many.
+
+        :meth:`repro.cpu.core.Core.run`'s contract, over the stream's
+        trace; running past the stream's end grows the stream.
+        """
         stream = self.stream
         done = 0
-        while True:
+        while done < count:
             available = stream.length - self.position
             if available <= 0:
                 stream.grow(min(count - done, GROW_CHUNK))
                 continue
-            ran = self._run(min(count - done, available), limit)
+            ran = self._replay(min(count - done, available), limit)
             done += ran
             self.position += ran
-            if done == count or self.cycle >= limit:
-                stream.reached = self.position
-                return done
+            if self.cycle >= limit:
+                break
+        stream.reached = self.position
+        return done
 
-    def _run(self, count: int, limit) -> int:
-        # Core.execute_block with each hierarchy call replaced by its
+    def _replay(self, count: int, limit) -> int:
+        # Core.run with each hierarchy call replaced by its
         # recorded level and events; every float operation is the same, in
         # the same order, so cycles and statistics are bit-identical.
         stream = self.stream
@@ -143,7 +135,7 @@ class ReplayCore:
         issue_cost = self._issue_cost
         mlp = self._mlp
         mispredict_penalty = self._mispredict_penalty
-        index = self._index
+        index = self.index
         fetched = self._fetches
         data = self._data
         branched = self._branches
@@ -231,7 +223,7 @@ class ReplayCore:
             if cycle >= limit:
                 break
 
-        self._index = index
+        self.index = index
         self._fetches = fetched
         self._data = data
         self._branches = branched

@@ -22,9 +22,10 @@ single-core PInTE context; periodic and background-DRAM hooks tick on the
 shared (primary) clock.
 
 This host is a thin composition over :mod:`repro.sim.session`:
-:class:`~repro.sim.session.MultiCoreStepper` owns the furthest-behind
-schedule (with a bit-identical batched fast path when no hook needs a live
-clock) and :func:`~repro.sim.session.drive` owns the warm-up / sampling /
+:class:`~repro.sim.session.CoreStepper` owns the furthest-behind schedule,
+one ``run(count, limit)`` call per scheduling batch, with the hooks'
+thresholds folded into the primary's limit, and
+:func:`~repro.sim.session.drive` owns the warm-up / sampling /
 repartition-epoch cadence shared by every host.
 """
 
@@ -39,7 +40,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.session import (
     ADDRESS_SPACE_STRIDE,
     DEFAULT_SAMPLE_INTERVAL,
-    MultiCoreStepper,
+    CoreStepper,
     SessionBuilder,
     core_stream,
     drive,
@@ -96,8 +97,8 @@ def simulate_multiprogrammed(
                if private_streams is not None else
                [core_stream(trace, core_id)
                 for core_id, trace in enumerate(traces)])
-    # Empty streams are rejected before any resource assembly or per-core
-    # column binding, so a bad mix cannot leave a half-built session.
+    # Empty streams are rejected before any resource assembly, so a bad mix
+    # cannot leave a half-built session.
     for trace, stream in zip(traces, streams):
         if not len(stream):
             raise ValueError(f"trace {trace.name!r} is empty")
@@ -106,13 +107,13 @@ def simulate_multiprogrammed(
                .with_private_streams(private_streams))
     if partitioner is not None:
         builder.with_partitioner(partitioner, repartition_interval)
-    session = builder.with_observation(observe).build_timing(n_cores)
+    session = builder.with_observation(observe).build_timing(streams)
 
     total = (sim_instructions if sim_instructions is not None else
              max(0, len(traces[0]) - warmup_instructions))
-    stepper = MultiCoreStepper(session, streams)
-    outcome = drive(session, stepper, warmup=warmup_instructions,
-                    total=total, sample_interval=sample_interval)
+    outcome = drive(session, CoreStepper(session),
+                    warmup=warmup_instructions, total=total,
+                    sample_interval=sample_interval)
 
     empty_samplers = [
         IntervalSampler(session.cores[core_id], session.llc, core_id,

@@ -12,8 +12,7 @@ co-runners or the timing. The timing hosts' demand walk splits on that
 line:
 
 * the **private stage**, :class:`PrivateStream`, is the lockstep walk
-  itself (:class:`~repro.sim.session.SingleCoreStepper` driving
-  :meth:`~repro.cpu.core.Core.execute_block` over a
+  itself (:meth:`~repro.cpu.core.Core.run` over a
   :class:`~repro.cache.hierarchy.MemoryHierarchy`) with the shared stage
   swapped for a recorder: per access it keeps the level that served it,
   per branch whether it was mispredicted, and every LLC-side event (demand
@@ -47,7 +46,7 @@ from repro.cpu.replay import (
     EVENT_PREFETCH,
     EVENT_WRITEBACK,
 )
-from repro.sim.session import Session, SingleCoreStepper, core_stream
+from repro.sim.session import core_stream
 
 __all__ = [
     "PrivateStream",
@@ -241,27 +240,24 @@ class PrivateStream:
         self.ev_info = array("i")
         self.length = 0
         stage = _Recorder(config, self._core_id, seed, self)
-        core = Core(config.core, stage)
+        core = Core(config.core, stage, self.packed)
         core.predictor = _PredictorRecorder(core.predictor, self.mispredicts)
-        session = Session(kind="timing", config=config, seed=seed,
-                          tracker=None, llc=None, hierarchies=[stage],
-                          cores=[core])
-        self._stepper = SingleCoreStepper(session, self.packed)
+        self._core = core
 
     def grow(self, minimum: int) -> None:
         """Run the private stage over at least ``minimum`` more
         instructions, and at least up to the stream's target."""
         start = time.monotonic()
         count = max(minimum, self.target - self.length)
-        if self._stepper is None:
+        if self._core is None:
             # Re-recording the same prefix leaves every cursor valid.
             count += self.length
             self._start()
             self._costs = [(0, 0.0)]
-        self._stepper.run(count)
+        self._core.run(count)
         self.length += count
         if self._core_id == 0 and self.length >= self.target:
-            self._stepper = None
+            self._core = None
         self.seconds += time.monotonic() - start
         self._costs.append((self.length, self.seconds))
 

@@ -18,12 +18,13 @@ module is the single authority all of them now compose::
   its per-access / periodic / background-DRAM hooks, partitioner install,
   and event-trace attachment.
 * A **Stepper** advances the machine by a requested amount of work and owns
-  nothing else. :class:`SingleCoreStepper` is the stepwise/blocked chunked
-  execution of the single-core host, :class:`MultiCoreStepper` the
-  cycle-synchronised furthest-behind scheduler of the 2nd-Trace host (with
-  a bit-identical batched fast path), and :class:`AccessReplayStepper` the
-  cache-only access-replay loop (grouped by :class:`ReplayGroup` for
-  multi-owner replay).
+  nothing else. :class:`CoreStepper` is the cycle-synchronised
+  furthest-behind scheduler of every timing host (one core is its
+  degenerate schedule): it calls each core's ``run(count, limit)``, the
+  one way to retire an instruction, with the live-clock hooks folded into
+  the primary's limit. :class:`AccessReplayStepper` is the cache-only
+  access-replay loop (grouped by :class:`ReplayGroup` for multi-owner
+  replay).
 * :func:`drive` owns the one warm-up -> reset -> measured-region cadence:
   it breaks the measured region at sample and repartition-epoch boundaries
   so every host samples at exactly the same instruction counts the
@@ -33,8 +34,8 @@ module is the single authority all of them now compose::
 Because the three hosts are now thin compositions of these pieces, the
 previously-blocked feature cross-product comes for free: PInTE on the
 multi-programmed host (the hybrid *induced + real* contention context), a
-partitioner on the single-core host, batched scheduling in the multicore
-host when no hook needs a live clock, and multi-owner cache-only replay.
+partitioner on the single-core host, the live-clock hooks and event traces
+on any number of cores, and multi-owner cache-only replay.
 
 Every refactored path stays bit-identical to the seed implementations;
 ``tests/integration/test_golden_equivalence.py`` pins all 53 configs.
@@ -72,12 +73,11 @@ __all__ = [
     "ADDRESS_SPACE_STRIDE",
     "DEFAULT_SAMPLE_INTERVAL",
     "AccessReplayStepper",
+    "CoreStepper",
     "DriveOutcome",
-    "MultiCoreStepper",
     "ReplayGroup",
     "Session",
     "SessionBuilder",
-    "SingleCoreStepper",
     "core_stream",
     "drive",
     "finalise_result",
@@ -173,10 +173,7 @@ class Session:
     cache-only host). The two kinds reset different statistics at the
     warm-up boundary — the replay host historically keeps its event trace
     and engine stats cumulative across the boundary, and that asymmetry is
-    preserved exactly. ``replayed`` marks a timing session whose cores
-    replay recorded private streams (:class:`~repro.cpu.replay.ReplayCore`),
-    each with a bare :class:`~repro.cache.hierarchy.SharedPort` as its
-    hierarchy.
+    preserved exactly.
     """
 
     kind: str
@@ -197,7 +194,6 @@ class Session:
     filters: List[Optional[LruFilter]] = field(default_factory=list)
     n_owners: int = 1
     wall_start: float = 0.0
-    replayed: bool = False
 
     def reset_statistics(self) -> None:
         """End of warm-up: drop statistics, keep all cache/predictor state."""
@@ -239,9 +235,9 @@ class SessionBuilder:
     """Assemble the shared resources of one simulation session.
 
     The builder is host-agnostic: :meth:`build_timing` produces the
-    core-driven machine any number of the timing hosts share (``n_cores=1``
-    is the single-core host, ``>= 2`` the 2nd-Trace host, either one with
-    PInTE attached is the hybrid context), and :meth:`build_cache_only`
+    core-driven machine any number of the timing hosts share (one trace
+    is the single-core host, two or more the 2nd-Trace host, either one
+    with PInTE attached is the hybrid context), and :meth:`build_cache_only`
     produces the LLC-only replay machine.
     """
 
@@ -276,17 +272,21 @@ class SessionBuilder:
         self._streams = streams
         return self
 
-    def build_timing(self, n_cores: int = 1) -> Session:
-        """The full timing machine: cores, hierarchies, shared LLC/DRAM.
+    def build_timing(self, traces: List[PackedTrace]) -> Session:
+        """The full timing machine: one core per packed trace (in its own
+        address space, see :func:`core_stream`), hierarchies, shared
+        LLC/DRAM.
 
         The PInTE engine (if configured) attaches to core 0's hierarchy —
         in the hybrid context the primary workload is the one under induced
         contention, exactly as in the single-core PInTE context. With
         private streams, each core is a
         :class:`~repro.cpu.replay.ReplayCore` on a bare
-        :class:`~repro.cache.hierarchy.SharedPort`.
+        :class:`~repro.cache.hierarchy.SharedPort`, replaying its stream's
+        own trace.
         """
         config, seed = self.config, self.seed
+        n_cores = len(traces)
         streams = self._streams
         if streams is not None:
             if len(streams) != n_cores:
@@ -315,8 +315,8 @@ class SessionBuilder:
             for hierarchy in hierarchies:
                 hierarchy.llc_access_hook = partitioner.on_llc_access
         if streams is None:
-            cores = [Core(config.core, hierarchy)
-                     for hierarchy in hierarchies]
+            cores = [Core(config.core, hierarchy, trace)
+                     for hierarchy, trace in zip(hierarchies, traces)]
         else:
             cores = [ReplayCore(config, hierarchy, stream)
                      for hierarchy, stream in zip(hierarchies, streams)]
@@ -348,7 +348,7 @@ class SessionBuilder:
             partitioner=partitioner,
             repartition_interval=self._repartition_interval, dram=dram,
             hierarchies=hierarchies, cores=cores, n_owners=n_cores,
-            wall_start=time.perf_counter(), replayed=streams is not None,
+            wall_start=time.perf_counter(),
         )
 
     def build_cache_only(self, n_owners: int = 1,
@@ -394,207 +394,64 @@ class SessionBuilder:
         )
 
 
-class SingleCoreStepper:
-    """Chunked single-core execution over one packed trace.
+class CoreStepper:
+    """Cycle-synchronised furthest-behind scheduling over n >= 1 cores.
 
-    Two bit-identical modes: *stepwise* executes one instruction at a time
-    and ticks the live-clock hooks (periodic PInTE, background DRAM)
-    between instructions; *blocked* batches the core's clock/stat updates
-    via ``Core.execute_block``. Anything needing a live per-instruction
-    view of ``core.cycle`` — the hooks, or event-trace timestamps — forces
-    stepwise; otherwise blocked is chosen automatically. ``blocked`` can be
-    forced (for parity testing) only when nothing needs the live clock.
-    """
-
-    unit = "instructions"
-
-    def __init__(self, session: Session, packed: PackedTrace,
-                 blocked: Optional[bool] = None) -> None:
-        self.core = session.cores[0]
-        self.pcs = packed.pcs
-        self.loads = packed.loads
-        self.stores = packed.stores
-        self.flags = packed.flags
-        self.n_records = len(packed)
-        self.index = 0
-        self.periodic = session.periodic
-        self.background = session.background
-        hooks_active = self.periodic is not None or self.background is not None
-        if blocked is None:
-            blocked = not hooks_active and session.events is None
-        elif blocked and hooks_active:
-            raise ValueError(
-                "blocked execution cannot drive live-clock hooks")
-        elif blocked and session.events is not None:
-            raise ValueError(
-                "blocked execution cannot timestamp an event trace")
-        self.blocked = blocked
-
-    def run(self, count: int) -> int:
-        """Execute ``count`` instructions (wrapping the trace ChampSim-style)."""
-        if count <= 0:
-            return 0
-        core = self.core
-        pcs, loads, stores, flags = self.pcs, self.loads, self.stores, self.flags
-        n_records = self.n_records
-        index = self.index
-        if self.blocked:
-            execute_block = core.execute_block
-            remaining = count
-            while remaining:
-                chunk = min(remaining, n_records - index)
-                execute_block(pcs, loads, stores, flags, index, chunk)
-                remaining -= chunk
-                index += chunk
-                if index == n_records:
-                    index = 0
-        else:
-            execute_cols = core.execute_cols
-            periodic = self.periodic
-            background = self.background
-            for _ in range(count):
-                execute_cols(pcs[index], loads[index], stores[index],
-                             flags[index])
-                index += 1
-                if index == n_records:
-                    index = 0
-                if periodic is not None:
-                    periodic.maybe_tick(core.cycle, 0)
-                if background is not None:
-                    background.advance(core.cycle)
-        self.index = index
-        return count
-
-
-class MultiCoreStepper:
-    """Cycle-synchronised furthest-behind scheduling over N cores.
-
-    Each scheduling step advances the core whose clock is furthest behind
+    Each scheduling step runs the core whose clock is furthest behind
     (ties to the lowest id), so a fast core naturally retires more
-    instructions per unit of shared time, exactly like hardware.
-    Non-primary traces restart when exhausted, ChampSim-style.
+    instructions per unit of shared time, exactly like hardware. The step
+    is a batch: core ``a`` stays the first-minimal argmin exactly while
+    its clock is below every lower-id core's and at most every higher-id
+    core's, so it runs with ``limit=min(lower, upper + 1)`` (clocks are
+    ints) and stops after the first instruction that breaks the bound.
+    One core is the degenerate schedule: no bound, one call per request.
 
-    Two bit-identical modes: *stepwise* recomputes the argmin before every
-    instruction (required when live-clock hooks must tick between
-    scheduling steps); *batched* computes the clock bounds once per
-    selection and inner-loops the selected core until its clock violates
-    them — the exact same instruction interleaving with the ``min()``
-    machinery hoisted out of the per-instruction path. Event tracing is
-    safe in either mode because ``execute_cols`` updates ``core.cycle``
-    per instruction.
+    The live-clock hooks (periodic PInTE, background DRAM) act only when
+    the primary clock crosses their next threshold, so the thresholds fold
+    into the primary's limit and the hooks tick after each primary step.
+    With an event trace attached the primary's limit is ``0``: every step
+    retires one instruction, so ``primary.cycle``, the event clock, is
+    current at every access.
     """
 
     unit = "instructions"
 
-    def __init__(self, session: Session, streams: List[PackedTrace],
-                 batched: Optional[bool] = None) -> None:
-        if len(streams) != len(session.cores):
-            raise ValueError(
-                f"{len(streams)} streams for {len(session.cores)} cores")
+    def __init__(self, session: Session) -> None:
         self.cores = session.cores
-        self.columns = [(s.pcs, s.loads, s.stores, s.flags, len(s))
-                        for s in streams]
-        self.indices = [0] * len(streams)
         self.periodic = session.periodic
         self.background = session.background
-        self.replayed = session.replayed
-        hooks_active = self.periodic is not None or self.background is not None
-        if batched is None:
-            batched = not hooks_active
-        elif batched and hooks_active:
-            raise ValueError(
-                "batched scheduling cannot drive live-clock hooks")
-        self.batched = batched
+        self.traced = session.events is not None
 
     def run(self, count: int) -> int:
         """Schedule until the primary core has retired ``count`` instructions."""
         if count <= 0:
             return 0
-        if self.batched:
-            self._run_in_batches(count)
-        else:
-            self._run_stepwise(count)
-        return count
-
-    def _run_stepwise(self, count: int) -> None:
         cores = self.cores
-        columns = self.columns
-        indices = self.indices
+        primary = cores[0]
         periodic = self.periodic
         background = self.background
-        primary = cores[0]
-        retired = 0
-        while retired < count:
-            clocks = list(map(_cycle_of, cores))
-            core_id = clocks.index(min(clocks))
-            pcs, loads, stores, flags, n_records = columns[core_id]
-            index = indices[core_id]
-            cores[core_id].execute_cols(pcs[index], loads[index],
-                                        stores[index], flags[index])
-            index += 1
-            indices[core_id] = 0 if index == n_records else index
-            if core_id == 0:
-                retired += 1
-                # The primary clock only moves on primary steps, so hook
-                # opportunities are checked exactly when it advances.
-                if periodic is not None:
-                    periodic.maybe_tick(primary.cycle, 0)
-                if background is not None:
-                    background.advance(primary.cycle)
-
-    def _run_in_batches(self, count: int) -> None:
-        # Core ``a`` stays the argmin (first-minimal) selection exactly
-        # while cycle_a < cycle_j for all j < a and cycle_a <= cycle_j for
-        # all j > a. Computing those two bounds once per selection and
-        # inner-looping until violated reproduces the stepwise schedule
-        # bit-for-bit without a min() per instruction. The clocks are read
-        # once per selection; ``index(min)`` is the first-minimal argmin.
-        # Replayed cores run the same bounds inside ReplayCore.replay,
-        # which stops at the first clock >= its limit (clocks are ints, so
-        # ``cycle > upper`` is ``cycle >= upper + 1``).
-        cores = self.cores
-        columns = self.columns
-        indices = self.indices
-        replayed = self.replayed
+        traced = self.traced
         infinity = float("inf")
         retired = 0
         while retired < count:
             clocks = list(map(_cycle_of, cores))
             core_id = clocks.index(min(clocks))
-            core = cores[core_id]
             upper = min(clocks[core_id + 1:], default=infinity)
-            if replayed:
-                if core_id == 0:
-                    retired += core.replay(count - retired, upper + 1)
-                else:
-                    core.replay(_UNBOUNDED,
-                                min(min(clocks[:core_id]), upper + 1))
+            if core_id:
+                cores[core_id].run(_UNBOUNDED,
+                                   min(min(clocks[:core_id]), upper + 1))
                 continue
-            execute_cols = core.execute_cols
-            pcs, loads, stores, flags, n_records = columns[core_id]
-            index = indices[core_id]
-            if core_id == 0:
-                while True:
-                    execute_cols(pcs[index], loads[index], stores[index],
-                                 flags[index])
-                    index += 1
-                    if index == n_records:
-                        index = 0
-                    retired += 1
-                    if retired == count or core.cycle > upper:
-                        break
-            else:
-                lower = min(clocks[:core_id])
-                while True:
-                    execute_cols(pcs[index], loads[index], stores[index],
-                                 flags[index])
-                    index += 1
-                    if index == n_records:
-                        index = 0
-                    cycle = core.cycle
-                    if cycle >= lower or cycle > upper:
-                        break
-            indices[core_id] = index
+            limit = 0 if traced else upper + 1
+            if periodic is not None:
+                limit = min(limit, periodic._next_fire)
+            if background is not None:
+                limit = min(limit, background._next_issue)
+            retired += primary.run(count - retired, limit)
+            if periodic is not None:
+                periodic.maybe_tick(primary.cycle, 0)
+            if background is not None:
+                background.advance(primary.cycle)
+        return count
 
 
 class AccessReplayStepper:

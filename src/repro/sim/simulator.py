@@ -8,8 +8,9 @@ context. The 2nd-Trace and hybrid contexts live in
 
 This host is a thin composition over :mod:`repro.sim.session`: a
 :class:`~repro.sim.session.SessionBuilder` assembles the machine, a
-:class:`~repro.sim.session.SingleCoreStepper` owns the stepwise/blocked
-execution, and :func:`~repro.sim.session.drive` owns the warm-up ->
+:class:`~repro.sim.session.CoreStepper` schedules its one core (the
+degenerate furthest-behind schedule, with the live-clock hooks as clock
+limits), and :func:`~repro.sim.session.drive` owns the warm-up ->
 stats-reset -> measured-region -> sampling cadence shared by every host.
 """
 
@@ -23,8 +24,8 @@ from repro.obs import Observation
 from repro.sim.results import SimulationResult
 from repro.sim.session import (
     DEFAULT_SAMPLE_INTERVAL,
+    CoreStepper,
     SessionBuilder,
-    SingleCoreStepper,
     drive,
     finalise_result,
     finish,
@@ -75,24 +76,22 @@ def simulate(
     stage instead of walking the private caches; results are
     bit-identical.
     """
-    builder = (SessionBuilder(config, seed=seed).with_pinte(pinte)
-               .with_private_streams(private_streams))
-    if partitioner is not None:
-        builder.with_partitioner(partitioner, repartition_interval)
-    session = builder.with_observation(observe).build_timing(1)
-
     packed = as_packed(trace)
     trace_name = getattr(trace, "name", "") or packed.name or "trace"
     n_records = len(packed)
     total = (sim_instructions if sim_instructions is not None else
              max(0, n_records - warmup_instructions))
     if n_records == 0:
-        session.detach_events()
         raise ValueError(f"trace {trace_name!r} is empty")
 
-    stepper = SingleCoreStepper(session, packed)
-    outcome = drive(session, stepper, warmup=warmup_instructions,
-                    total=total, sample_interval=sample_interval)
+    builder = (SessionBuilder(config, seed=seed).with_pinte(pinte)
+               .with_private_streams(private_streams))
+    if partitioner is not None:
+        builder.with_partitioner(partitioner, repartition_interval)
+    session = builder.with_observation(observe).build_timing([packed])
+    outcome = drive(session, CoreStepper(session),
+                    warmup=warmup_instructions, total=total,
+                    sample_interval=sample_interval)
 
     mode = "pinte" if pinte is not None else "isolation"
     result = finalise_result(

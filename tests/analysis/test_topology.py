@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis.topology import TheftTopology, TopologyRecorder, attach_topology
+from repro.analysis.topology import TheftTopology
 from repro.core import ContentionTracker, PInTE, PinteConfig
 from repro.cache.cache import Cache
+from repro.obs.events import Event, EventTrace
 
 BLOCK = 64
 
@@ -67,28 +68,18 @@ class TestTheftTopology:
             TheftTopology(n_sets=3)
 
 
-class TestRecorder:
-    def test_wraps_tracker(self):
-        tracker = ContentionTracker()
-        topology = attach_topology(tracker, n_sets=8)
-        tracker.record_theft(0, 1, 2 * BLOCK)
-        assert topology.total == 1
-        assert tracker.counters(0).thefts_experienced == 1  # original ran too
-
-    def test_victim_filter(self):
-        tracker = ContentionTracker()
-        topology = attach_topology(tracker, n_sets=8, victim_owner=0)
-        tracker.record_theft(0, 1, 0)
-        tracker.record_theft(1, 0, BLOCK)
-        assert topology.total == 1
-
-    def test_detach_restores(self):
-        tracker = ContentionTracker()
-        topology = TheftTopology(8)
-        recorder = TopologyRecorder(tracker, topology)
-        recorder.detach()
-        tracker.record_theft(0, 1, 0)
-        assert topology.total == 0
+class TestFromEvents:
+    def test_counts_the_owners_thefts_per_set(self):
+        events = [
+            Event(0, 0, "theft", 3, 0, 0, "pinte", 0),
+            Event(1, 0, "evict", 3, 1, 0, "theft", 0),
+            Event(2, 0, "evict", 5, 0, 0, "replace", 0),  # own conflict
+            Event(3, 0, "evict", 6, 0, 1, "theft", 0),  # another victim
+            Event(4, 0, "fill", 7, 0, 0, "demand", 0),
+        ]
+        topology = TheftTopology.from_events(events, n_sets=8, owner=0)
+        assert topology.total == 2
+        assert topology.counts[3] == 2
 
 
 class TestWithPinte:
@@ -97,8 +88,9 @@ class TestWithPinte:
         shows concentration, not blanketing."""
         llc = Cache("LLC", 16 * 4 * BLOCK, 4, BLOCK, latency=1)
         tracker = ContentionTracker()
-        topology = attach_topology(tracker, llc.n_sets)
+        events = EventTrace()
         engine = PInTE(PinteConfig(1.0, seed=1), llc, tracker)
+        events.attach(engine)
         stride = BLOCK * llc.n_sets
         hot_sets = (2, 5)
         for i in range(200):
@@ -106,6 +98,8 @@ class TestWithPinte:
             for way in range(llc.assoc):
                 llc.fill(set_index * BLOCK + way * stride, 0)
             engine.on_llc_access(set_index, i, 0)
+        topology = TheftTopology.from_events(events.events(), llc.n_sets,
+                                             owner=0)
         assert topology.total > 0
         assert topology.coverage() == pytest.approx(2 / 16)
         touched = {s for s, _ in topology.hottest_sets(16)}

@@ -4,22 +4,22 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import scaled_config
-from repro.cpu import Core
 from repro.sim import simulate
 from repro.trace import TraceRecord, build_trace, get_workload
+from tests.retire import record_core, retire
 
 CFG = scaled_config()
 
 
 def make_core():
-    return Core(CFG.core, MemoryHierarchy(CFG, 0, registry={}))
+    return record_core(CFG.core, MemoryHierarchy(CFG, 0, registry={}))
 
 
 class TestComponents:
     def test_stack_sums_to_cpi(self):
         core = make_core()
         for i in range(400):
-            core.execute(TraceRecord(0x400000 + (i % 64) * 4,
+            retire(core, TraceRecord(0x400000 + (i % 64) * 4,
                                      load_addr=0x100000000 + i * 256,
                                      is_branch=(i % 7 == 0), taken=True))
         stack = core.stats.cpi_stack()
@@ -29,7 +29,7 @@ class TestComponents:
     def test_alu_only_is_pure_base(self):
         core = make_core()
         for _ in range(100):
-            core.execute(TraceRecord(0x400000))
+            retire(core, TraceRecord(0x400000))
         stack = core.stats.cpi_stack()
         assert stack["base"] == pytest.approx(0.25)
         assert stack["load"] == 0.0
@@ -38,14 +38,14 @@ class TestComponents:
     def test_load_stalls_attributed(self):
         core = make_core()
         for i in range(100):
-            core.execute(TraceRecord(0x400000,
+            retire(core, TraceRecord(0x400000,
                                      load_addr=0x100000000 + i * 4096))
         assert core.stats.cpi_stack()["load"] > 1.0
 
     def test_branch_stalls_attributed(self):
         core = make_core()
         for i in range(400):
-            core.execute(TraceRecord(0x400000, is_branch=True,
+            retire(core, TraceRecord(0x400000, is_branch=True,
                                      taken=i % 2 == 0))
         assert core.stats.cpi_stack()["branch"] > 0.0
 

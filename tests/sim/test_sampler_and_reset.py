@@ -4,11 +4,11 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy, build_llc
 from repro.core import ContentionTracker
-from repro.cpu import Core
 from repro.obs import IntervalSampler
 from repro.sim.session import reset_stats
 from repro.sim.simulator import simulate
 from repro.trace import Trace, TraceRecord, build_trace, get_workload
+from tests.retire import record_core, retire
 
 
 def make_rig(config):
@@ -16,7 +16,7 @@ def make_rig(config):
     llc = build_llc(config)
     hierarchy = MemoryHierarchy(config, 0, llc=llc, tracker=tracker,
                                 registry={})
-    core = Core(config.core, hierarchy)
+    core = record_core(config.core, hierarchy)
     return core, hierarchy, llc, tracker
 
 
@@ -29,7 +29,7 @@ class TestSampler:
         core, hierarchy, llc, tracker = make_rig(config)
         sampler = IntervalSampler(core, llc, 0, tracker, interval=1_000)
         for i in range(500):
-            core.execute(TraceRecord(0x400000 + (i % 16) * 4))
+            retire(core, TraceRecord(0x400000 + (i % 16) * 4))
         sampler.sample()
         assert len(sampler.samples) == 1
         assert sampler.samples[0].instructions == 500
@@ -39,7 +39,7 @@ class TestSampler:
         sampler = IntervalSampler(core, llc, 0, tracker, interval=1_000)
         for round_ in range(3):
             for i in range(1_000):
-                core.execute(TraceRecord(
+                retire(core, TraceRecord(
                     0x400000 + (i % 16) * 4,
                     load_addr=0x100000000 + (round_ * 1_000 + i) * 64))
             sampler.sample()
@@ -52,7 +52,7 @@ class TestSampler:
         core, hierarchy, llc, tracker = make_rig(config)
         sampler = IntervalSampler(core, llc, 0, tracker, interval=500)
         for i in range(500):
-            core.execute(TraceRecord(0x400000,
+            retire(core, TraceRecord(0x400000,
                                      load_addr=0x100000000 + i * 64))
         sampler.sample()
         sample = sampler.samples[0]
@@ -121,7 +121,7 @@ class TestResetStats:
     def test_counters_cleared_state_kept(self, config):
         core, hierarchy, llc, tracker = make_rig(config)
         for i in range(64):
-            core.execute(TraceRecord(0x400000,
+            retire(core, TraceRecord(0x400000,
                                      load_addr=0x100000000 + i * 64))
         occupancy_before = llc.occupancy()
         reset_stats(core, hierarchy, tracker, 0)
@@ -137,7 +137,7 @@ class TestResetStats:
         core, hierarchy, llc, tracker = make_rig(config)
         for _ in range(3):
             for i in range(32):
-                core.execute(TraceRecord(0x400000,
+                retire(core, TraceRecord(0x400000,
                                          load_addr=0x100000000 + i * 4096))
         reset_stats(core, hierarchy, tracker, 0)
         assert sum(llc.reuse_histogram) == 0

@@ -1,183 +1,127 @@
 """Tests for the unified simulation-session core.
 
-The session layer promises two things the hosts rely on:
-
-* *parity* — blocked single-core execution and batched multicore
-  scheduling are pure mechanical optimisations, bit-identical to their
-  stepwise forms for every configuration where they are legal;
-* *legality* — anything that needs a live per-instruction clock (the
-  periodic PInTE trigger, background DRAM traffic, event timestamps)
-  refuses the fast path loudly instead of silently drifting.
-
-The parity checks are seeded property tests: random workload / policy /
-PInTE / budget combinations, each run through both modes and compared on
-every counter a scheduling change could disturb.
+Every timing host retires instructions through one call,
+``run(count, limit)``, on a :class:`~repro.cpu.core.Core` or a
+:class:`~repro.cpu.replay.ReplayCore`; the scheduler splits a run into
+calls wherever a co-runner's clock, a live-clock hook or an event trace
+needs it. The contract tests below check that a split never shows: any
+sequence of ``(count, limit)`` calls leaves a core exactly where one call
+retiring the same instructions does. Hypothesis draws the splits.
 """
 
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import scaled_config
 from repro.core import PinteConfig
 from repro.sim import simulate
 from repro.sim.multicore import simulate_multiprogrammed, simulate_pair
-from repro.sim.session import (
-    MultiCoreStepper,
-    SessionBuilder,
-    SingleCoreStepper,
-    drive,
-)
+from repro.sim.private import PrivateStream
+from repro.sim.session import SessionBuilder, core_stream
 from repro.trace import build_trace, get_workload
-from repro.trace.packed import as_packed
 
-WORKLOADS = ("470.lbm", "429.mcf", "435.gromacs")
-POLICIES = ("lru", "rrip", "plru")
-
-
-@pytest.fixture(scope="module")
-def traces(config):
-    return {name: build_trace(get_workload(name), 8_000, 11, config.llc.size)
-            for name in WORKLOADS}
+WORKLOADS = ("470.lbm", "435.gromacs")
+#: Short traces, so that runs wrap them.
+RECORDS = 300
+CORE_KINDS = ("Core", "ReplayCore")
 
 
-def _observables(session):
-    """Every counter a scheduling change could disturb, all cores."""
-    per_core = []
-    for owner, (core, hierarchy) in enumerate(zip(session.cores,
-                                                  session.hierarchies)):
-        counters = session.tracker.counters(owner)
-        per_core.append((
-            core.cycle, core.stats.instructions,
-            hierarchy.l1d.stats.misses, hierarchy.l2.stats.misses,
-            counters.llc_accesses, counters.llc_misses,
-            counters.thefts_experienced, counters.interference_misses,
-        ))
-    llc = session.llc
-    engine = session.engine
-    return (tuple(per_core), llc.stats.hits, llc.stats.misses,
-            llc.stats.writebacks, tuple(llc.reuse_histogram),
-            engine.stats.invalidations if engine else 0,
-            engine._rng.draws if engine else 0)
+def _core(kind, workload="470.lbm", pinte=None):
+    """A fresh single-core session's core of ``kind`` over a short trace."""
+    config = scaled_config()
+    trace = build_trace(get_workload(workload), RECORDS, 3, config.llc.size)
+    builder = SessionBuilder(config, seed=5).with_pinte(pinte)
+    if kind == "ReplayCore":
+        # Core slot 1: the stream grows in chunks as the core outruns it.
+        builder.with_private_streams(
+            [PrivateStream(config, trace, 1, 5, RECORDS // 2)])
+    return builder.build_timing([core_stream(trace, 0)]).cores[0]
 
 
-class TestSingleCoreParity:
-    def _run(self, config, trace, pinte, warmup, sim, blocked):
-        session = (SessionBuilder(config, seed=5)
-                   .with_pinte(pinte)
-                   .build_timing(1))
-        stepper = SingleCoreStepper(session, as_packed(trace),
-                                    blocked=blocked)
-        drive(session, stepper, warmup=warmup, total=sim,
-              sample_interval=1_000)
-        return _observables(session)
-
-    def test_blocked_matches_stepwise_randomised(self, traces):
-        """Seeded property test: random config combos, both modes agree."""
-        rng = random.Random(0xB10C)
-        for case in range(8):
-            workload = rng.choice(WORKLOADS)
-            policy = rng.choice(POLICIES)
-            p = rng.choice((None, 0.1, 0.5))
-            pinte = PinteConfig(p, seed=rng.randrange(100)) if p else None
-            warmup = rng.choice((0, 500, 1_700))
-            sim = rng.randrange(2_000, 6_000)
-            config = scaled_config().with_llc_policy(policy)
-            label = f"case {case}: {workload}/{policy}/p={p}/{warmup}+{sim}"
-            blocked = self._run(config, traces[workload], pinte,
-                                warmup, sim, blocked=True)
-            stepwise = self._run(config, traces[workload], pinte,
-                                 warmup, sim, blocked=False)
-            assert blocked == stepwise, label
-
-    def test_blocked_is_the_default_without_hooks(self, config, traces):
-        session = SessionBuilder(config, seed=5).build_timing(1)
-        stepper = SingleCoreStepper(session, as_packed(traces["470.lbm"]))
-        assert stepper.blocked
-
-    def test_periodic_hook_forces_stepwise(self, config, traces):
-        pinte = PinteConfig(0.3, seed=1, trigger="periodic")
-        session = (SessionBuilder(config, seed=5)
-                   .with_pinte(pinte)
-                   .build_timing(1))
-        stepper = SingleCoreStepper(session, as_packed(traces["470.lbm"]))
-        assert not stepper.blocked
-        with pytest.raises(ValueError, match="live-clock hooks"):
-            SingleCoreStepper(session, as_packed(traces["470.lbm"]),
-                              blocked=True)
-
-    def test_event_trace_forces_stepwise(self, config, traces):
-        from repro.obs import Observation
-        observe = Observation.with_events()
-        session = (SessionBuilder(config, seed=5)
-                   .with_observation(observe)
-                   .build_timing(1))
-        stepper = SingleCoreStepper(session, as_packed(traces["470.lbm"]))
-        assert not stepper.blocked
-        with pytest.raises(ValueError, match="event trace"):
-            SingleCoreStepper(session, as_packed(traces["470.lbm"]),
-                              blocked=True)
-        session.detach_events()
+def _state(core):
+    """Clock, accumulator, cursor and every CoreStats slot."""
+    stats = core.stats
+    return (core.cycle, core._cycle_accumulator, core.index,
+            tuple(getattr(stats, name) for name in type(stats).__slots__))
 
 
-class TestMultiCoreParity:
-    def _run(self, config, streams, pinte, warmup, sim, batched,
-             partitioner=False):
-        builder = SessionBuilder(config, seed=5).with_pinte(pinte)
-        if partitioner:
-            from repro.cache.partition import make_partitioner
-            n_ways = config.llc.assoc
-            n_sets = config.llc.size // (n_ways * config.block_size)
-            builder.with_partitioner(
-                make_partitioner("ucp", n_sets, n_ways,
-                                 owners=list(range(len(streams))),
-                                 sampling=4),
-                repartition_interval=2_000)
-        session = builder.build_timing(len(streams))
-        stepper = MultiCoreStepper(session, streams, batched=batched)
-        drive(session, stepper, warmup=warmup, total=sim,
-              sample_interval=1_000)
-        return _observables(session)
+#: One call: an instruction budget and a clock limit as an offset from the
+#: clock at the call (None for no limit; a negative offset is a limit the
+#: clock has already passed).
+CALLS = st.lists(
+    st.tuples(st.integers(0, 250),
+              st.one_of(st.none(), st.integers(-20, 3_000))),
+    min_size=1, max_size=12)
 
-    def test_batched_matches_stepwise_randomised(self, traces):
-        """Random pair/triple mixes: the hoisted-min schedule is identical."""
-        rng = random.Random(0x5E55)
-        for case in range(6):
-            names = rng.sample(WORKLOADS, rng.choice((2, 2, 3)))
-            policy = rng.choice(POLICIES)
-            p = rng.choice((None, 0.2))
-            pinte = PinteConfig(p, seed=rng.randrange(100)) if p else None
-            partitioner = rng.random() < 0.4
-            warmup = rng.choice((0, 800))
-            sim = rng.randrange(2_000, 5_000)
-            config = scaled_config().with_llc_policy(policy)
-            from repro.sim.session import ADDRESS_SPACE_STRIDE
-            streams = [
-                as_packed(traces[name]).offset(i * ADDRESS_SPACE_STRIDE)
-                for i, name in enumerate(names)]
-            label = f"case {case}: {names}/{policy}/p={p}/{warmup}+{sim}"
-            batched = self._run(config, streams, pinte, warmup, sim,
-                                batched=True, partitioner=partitioner)
-            stepwise = self._run(config, streams, pinte, warmup, sim,
-                                 batched=False, partitioner=partitioner)
-            assert batched == stepwise, label
 
-    def test_hooks_force_stepwise(self, config, traces):
-        pinte = PinteConfig(0.3, seed=1, trigger="periodic")
-        session = (SessionBuilder(config, seed=5)
-                   .with_pinte(pinte)
-                   .build_timing(2))
-        streams = [as_packed(traces["470.lbm"]),
-                   as_packed(traces["429.mcf"])]
-        stepper = MultiCoreStepper(session, streams)
-        assert not stepper.batched
-        with pytest.raises(ValueError, match="live-clock hooks"):
-            MultiCoreStepper(session, streams, batched=True)
+class TestRunContract:
+    @pytest.mark.parametrize("kind", CORE_KINDS)
+    @settings(max_examples=15, deadline=None)
+    @given(calls=CALLS, workload=st.sampled_from(WORKLOADS),
+           p_induce=st.sampled_from((None, 0.3)))
+    def test_split_matches_one_call(self, kind, calls, workload, p_induce):
+        pinte = PinteConfig(p_induce, seed=2) if p_induce else None
+        split = _core(kind, workload, pinte)
+        retired = 0
+        for count, offset in calls:
+            before = split.cycle
+            if offset is None:
+                done = split.run(count)
+            else:
+                limit = before + offset
+                done = split.run(count, limit)
+                if before >= limit:
+                    assert done == min(count, 1)
+                elif done < count:
+                    assert split.cycle >= limit
+            assert 0 <= done <= count
+            if offset is None:
+                assert done == count
+            retired += done
+        whole = _core(kind, workload, pinte)
+        assert whole.run(retired) == retired
+        assert _state(split) == _state(whole)
+        assert split.stats.instructions == retired
 
-    def test_stream_count_must_match_cores(self, config, traces):
-        session = SessionBuilder(config, seed=5).build_timing(2)
+    @pytest.mark.parametrize("kind", CORE_KINDS)
+    def test_at_or_past_limit_retires_exactly_one(self, kind):
+        # Most of gromacs's instructions leave the clock where it was, so
+        # only the limit check at entry stops these calls after one.
+        core = _core(kind, "435.gromacs")
+        core.run(40)
+        for step in range(60):
+            limit = (core.cycle, core.cycle - 3, 0)[step % 3]
+            instructions = core.stats.instructions
+            assert core.run(100, limit) == 1
+            assert core.stats.instructions == instructions + 1
+
+    @pytest.mark.parametrize("kind", CORE_KINDS)
+    def test_count_zero_retires_nothing(self, kind):
+        core = _core(kind)
+        core.run(25)
+        before = _state(core)
+        assert core.run(0) == 0
+        assert core.run(0, 0) == 0
+        assert _state(core) == before
+
+    @pytest.mark.parametrize("kind", CORE_KINDS)
+    def test_cursor_wraps_at_the_trace_end(self, kind):
+        core = _core(kind)
+        assert core.run(RECORDS + 7) == RECORDS + 7
+        assert core.index == 7
+        assert core.stats.instructions == RECORDS + 7
+
+
+class TestSessionBuilder:
+    def test_stream_count_must_match_cores(self, config, lbm_trace,
+                                           gromacs_trace):
+        stream = PrivateStream(config, lbm_trace, 0, 5, 100)
+        builder = (SessionBuilder(config, seed=5)
+                   .with_private_streams([stream]))
         with pytest.raises(ValueError, match="streams for"):
-            MultiCoreStepper(session, [as_packed(traces["470.lbm"])])
+            builder.build_timing([core_stream(lbm_trace, 0),
+                                  core_stream(gromacs_trace, 1)])
 
 
 class TestHybridContext:

@@ -36,6 +36,16 @@ class TestTheftMechanics:
         assert "core 1: thefts experienced=1" in out
 
 
+class TestContentionTopology:
+    def test_counts_thefts_under_both_contexts(self, capsys):
+        out = run_example("contention_topology.py", [], capsys)
+        assert "PInTE p=0.3 thefts of 450.soplex" in out
+        assert "2nd-Trace (470.lbm) thefts of 450.soplex" in out
+        totals = [int(line.split(":")[1]) for line in out.splitlines()
+                  if line.strip().startswith("thefts recorded")]
+        assert len(totals) == 2 and all(totals)
+
+
 class TestExampleFiles:
     def test_all_examples_present(self):
         names = {path.name for path in EXAMPLES.glob("*.py")}
