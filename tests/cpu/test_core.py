@@ -4,15 +4,17 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import scaled_config
+from repro.cpu import Core
+from repro.trace.packed import PackedTrace
 from repro.trace.record import TraceRecord
-from tests.retire import record_core, retire
+from tests.retire import retire
 
 CFG = scaled_config()
 
 
 def make_core(config=CFG):
     hierarchy = MemoryHierarchy(config, 0, registry={})
-    return record_core(config.core, hierarchy)
+    return Core(config.core, hierarchy, PackedTrace())
 
 
 class TestBasicAccounting:

@@ -4,15 +4,17 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import scaled_config
+from repro.cpu import Core
 from repro.sim import simulate
 from repro.trace import TraceRecord, build_trace, get_workload
-from tests.retire import record_core, retire
+from repro.trace.packed import PackedTrace
+from tests.retire import retire
 
 CFG = scaled_config()
 
 
 def make_core():
-    return record_core(CFG.core, MemoryHierarchy(CFG, 0, registry={}))
+    return Core(CFG.core, MemoryHierarchy(CFG, 0, registry={}), PackedTrace())
 
 
 class TestComponents:

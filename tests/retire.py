@@ -1,16 +1,13 @@
-"""Retire hand-written trace records on a core, one call per batch."""
-
-from repro.cpu import Core
-from repro.trace.packed import PackedTrace
+"""Retire hand-written trace records on a core, one ``run`` per batch."""
 
 
-def record_core(core_config, hierarchy) -> Core:
-    """A core over an empty trace, for :func:`retire` to feed."""
-    return Core(core_config, hierarchy, PackedTrace())
+def retire(core, *records) -> None:
+    """Pack ``records`` onto the end of the core's trace and retire them.
 
-
-def retire(core: Core, *records) -> None:
-    """Pack ``records`` onto the end of the core's trace and retire them."""
+    Build the core over an empty trace (``Core(config, hierarchy,
+    PackedTrace())``); the cursor never wraps, because each call appends
+    exactly the records it runs.
+    """
     for record in records:
         core.trace.append_record(record)
     core.run(len(records))

@@ -4,11 +4,13 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy, build_llc
 from repro.core import ContentionTracker
+from repro.cpu import Core
 from repro.obs import IntervalSampler
 from repro.sim.session import reset_stats
 from repro.sim.simulator import simulate
 from repro.trace import Trace, TraceRecord, build_trace, get_workload
-from tests.retire import record_core, retire
+from repro.trace.packed import PackedTrace
+from tests.retire import retire
 
 
 def make_rig(config):
@@ -16,7 +18,7 @@ def make_rig(config):
     llc = build_llc(config)
     hierarchy = MemoryHierarchy(config, 0, llc=llc, tracker=tracker,
                                 registry={})
-    core = record_core(config.core, hierarchy)
+    core = Core(config.core, hierarchy, PackedTrace())
     return core, hierarchy, llc, tracker
 
 
