@@ -5,9 +5,10 @@ while a real adversary follows its own; this module measures both. A
 :class:`TheftTopology` records per-set theft counts (built from a run's
 traced events with :meth:`TheftTopology.from_events`) and summarises their
 spatial distribution: coverage (fraction of sets ever hit), concentration
-(normalised entropy), and a hot-set list. Used by the diagnostics in the ablation benches and by
-users checking whether their adversary "blankets" the cache (the paper's
-complaint about tune-able workloads) or tracks the victim's hot sets.
+(normalised entropy), and a hot-set list. Used by the diagnostics in the
+ablation benches and by users checking whether their adversary "blankets"
+the cache (the paper's complaint about tune-able workloads) or tracks the
+victim's hot sets.
 """
 
 from __future__ import annotations

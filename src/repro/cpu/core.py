@@ -252,6 +252,8 @@ class Core:
                 if whole:
                     cycle += whole
                     accumulator -= whole
+                    # Only here does the clock move, so only here can it
+                    # reach the limit.
                     if cycle >= limit:
                         break
             index += 1
