@@ -104,8 +104,9 @@ class Core:
     """One core: retires its trace against its memory hierarchy.
 
     The core owns its trace columns and its cursor into them (``index``,
-    the row the next instruction retires from); :meth:`run` is the one way
-    to retire instructions.
+    the row the next instruction retires from). :meth:`retire` is the one
+    retirement loop: a scheduler resumes it once per step, and :meth:`run`
+    opens it for a single step.
     """
 
     def __init__(self, config: CoreConfig, hierarchy: MemoryHierarchy,
@@ -156,14 +157,29 @@ class Core:
         ``limit``; returns how many retired.
 
         The trace wraps at its end, ChampSim-style. A call whose clock is
-        already at or past ``limit`` retires exactly one instruction. The
-        clock, fetch state and statistics live in locals for the call and
-        are written back when it returns, so ``self.cycle`` is current
-        between calls only: a caller that must read the clock after every
-        instruction passes ``limit=0``.
+        already at or past ``limit`` retires exactly one instruction. One
+        step of :meth:`retire`, the one retirement loop, opened and closed
+        for the call.
         """
         if count <= 0:
             return 0
+        loop = self.retire(count, limit)
+        retired = next(loop)
+        loop.close()
+        return retired
+
+    def retire(self, count: int, limit=_NO_LIMIT):
+        """The retirement loop, as a generator of steps.
+
+        The first step is ``run(count, limit)``'s; each later step is sent
+        as a ``(count, limit)`` tuple, with ``count >= 1``, and each yields
+        how many instructions it retired. The loop binds the trace, the
+        hierarchy, the constants and the statistics into locals once, when
+        it opens, so only the clock, ``self.cycle``, is current at every
+        yield; the cursor, fetch state, accumulator and statistics are
+        written back when the loop closes. Nothing else may run or reset
+        the core while a loop is open.
+        """
         trace = self.trace
         pcs = trace.pcs
         loads = trace.loads
@@ -196,84 +212,86 @@ class Core:
         load_stall_cycles = stats.load_stall_cycles
         store_stall_cycles = stats.store_stall_cycles
         branch_stall_cycles = stats.branch_stall_cycles
-        if cycle >= limit:
-            count = 1
-
-        retired = 0
-        while True:
-            if index == n_records:
-                index = 0
-            start = index
-            stop = min(n_records, start + count - retired)
-            for index in range(start, stop):
-                flag = flags[index]
-                pc = pcs[index]
-                cost = issue_cost
-                base_cycles += issue_cost
-                fetch_block = pc >> 6
-                if fetch_block != last_fetch_block:
-                    last_fetch_block = fetch_block
-                    fetch_latency = fetch(pc, cycle)
-                    if fetch_latency > l1i_latency:
-                        stall = fetch_latency - l1i_latency
-                        cost += stall
-                        fetch_stall_cycles += stall
-                if flag & FLAG_HAS_LOAD:
-                    latency = load(pc, loads[index], cycle)
-                    n_loads += 1
-                    mem_accesses += 1
-                    mem_access_cycles += latency
-                    beyond_l1 = latency - l1d_latency
-                    if beyond_l1 > 0:
-                        if flag & FLAG_DEPENDENT:
-                            stall = beyond_l1
-                        else:
-                            stall = beyond_l1 / mlp
-                        cost += stall
-                        load_stall_cycles += stall
-                if flag & FLAG_HAS_STORE:
-                    latency = store(pc, stores[index], cycle)
-                    n_stores += 1
-                    mem_accesses += 1
-                    mem_access_cycles += latency
-                    beyond_l1 = latency - l1d_latency
-                    if beyond_l1 > 0:
-                        stall = beyond_l1 / STORE_OVERLAP
-                        cost += stall
-                        store_stall_cycles += stall
-                if flag & FLAG_BRANCH:
-                    n_branches += 1
-                    if not predictor_update(pc, bool(flag & FLAG_TAKEN)):
-                        cost += mispredict_penalty
-                        branch_stall_cycles += mispredict_penalty
-                instructions += 1
-                accumulator += cost
-                whole = int(accumulator)
-                if whole:
-                    cycle += whole
-                    accumulator -= whole
-                    # Only here does the clock move, so only here can it
-                    # reach the limit.
-                    if cycle >= limit:
+        try:
+            while True:
+                if cycle >= limit:
+                    count = 1
+                retired = 0
+                while True:
+                    if index == n_records:
+                        index = 0
+                    start = index
+                    stop = min(n_records, start + count - retired)
+                    for index in range(start, stop):
+                        flag = flags[index]
+                        pc = pcs[index]
+                        cost = issue_cost
+                        base_cycles += issue_cost
+                        fetch_block = pc >> 6
+                        if fetch_block != last_fetch_block:
+                            last_fetch_block = fetch_block
+                            fetch_latency = fetch(pc, cycle)
+                            if fetch_latency > l1i_latency:
+                                stall = fetch_latency - l1i_latency
+                                cost += stall
+                                fetch_stall_cycles += stall
+                        if flag & FLAG_HAS_LOAD:
+                            latency = load(pc, loads[index], cycle)
+                            n_loads += 1
+                            mem_accesses += 1
+                            mem_access_cycles += latency
+                            beyond_l1 = latency - l1d_latency
+                            if beyond_l1 > 0:
+                                if flag & FLAG_DEPENDENT:
+                                    stall = beyond_l1
+                                else:
+                                    stall = beyond_l1 / mlp
+                                cost += stall
+                                load_stall_cycles += stall
+                        if flag & FLAG_HAS_STORE:
+                            latency = store(pc, stores[index], cycle)
+                            n_stores += 1
+                            mem_accesses += 1
+                            mem_access_cycles += latency
+                            beyond_l1 = latency - l1d_latency
+                            if beyond_l1 > 0:
+                                stall = beyond_l1 / STORE_OVERLAP
+                                cost += stall
+                                store_stall_cycles += stall
+                        if flag & FLAG_BRANCH:
+                            n_branches += 1
+                            if not predictor_update(
+                                    pc, bool(flag & FLAG_TAKEN)):
+                                cost += mispredict_penalty
+                                branch_stall_cycles += mispredict_penalty
+                        instructions += 1
+                        accumulator += cost
+                        whole = int(accumulator)
+                        if whole:
+                            cycle += whole
+                            accumulator -= whole
+                            # Only here does the clock move, so only here
+                            # can it reach the limit.
+                            if cycle >= limit:
+                                break
+                    index += 1
+                    retired += index - start
+                    if retired == count or cycle >= limit:
                         break
-            index += 1
-            retired += index - start
-            if retired == count or cycle >= limit:
-                break
-
-        self.index = index
-        self._last_fetch_block = last_fetch_block
-        self.cycle = cycle
-        self._cycle_accumulator = accumulator
-        stats.instructions = instructions
-        stats.loads = n_loads
-        stats.stores = n_stores
-        stats.branches = n_branches
-        stats.mem_access_cycles = mem_access_cycles
-        stats.mem_accesses = mem_accesses
-        stats.base_cycles = base_cycles
-        stats.fetch_stall_cycles = fetch_stall_cycles
-        stats.load_stall_cycles = load_stall_cycles
-        stats.store_stall_cycles = store_stall_cycles
-        stats.branch_stall_cycles = branch_stall_cycles
-        return retired
+                self.cycle = cycle
+                count, limit = yield retired
+        finally:
+            self.index = index
+            self._last_fetch_block = last_fetch_block
+            self._cycle_accumulator = accumulator
+            stats.instructions = instructions
+            stats.loads = n_loads
+            stats.stores = n_stores
+            stats.branches = n_branches
+            stats.mem_access_cycles = mem_access_cycles
+            stats.mem_accesses = mem_accesses
+            stats.base_cycles = base_cycles
+            stats.fetch_stall_cycles = fetch_stall_cycles
+            stats.load_stall_cycles = load_stall_cycles
+            stats.store_stall_cycles = store_stall_cycles
+            stats.branch_stall_cycles = branch_stall_cycles

@@ -8,8 +8,8 @@ once, ahead of time, into a stream (:class:`repro.sim.private.PrivateStream`).
 access's latency from the level the stream says served it, sends the
 access's recorded LLC-side events through the core's
 :class:`~repro.cache.hierarchy.SharedPort` at the right cycles, and redoes
-:meth:`repro.cpu.core.Core.run`'s cycle and statistics arithmetic in the
-same floating-point order. Results are bit-identical to the lockstep walk.
+:meth:`repro.cpu.core.Core.retire`'s cycle and statistics arithmetic in
+the same floating-point order. Results are bit-identical to the lockstep walk.
 
 Stream layout, per access (one list for fetches, one for loads and stores,
 in program order): ``code = level | events << 2``, where ``level`` is 0
@@ -62,9 +62,11 @@ class ReplayCore:
     """A core whose private stage was recorded: replays it through a port.
 
     Stands in for :class:`~repro.cpu.core.Core` in a session: the same
-    ``cycle``/``stats`` surface and the same :meth:`run` contract, over
-    the stream's own trace. Running past the stream's end grows the
-    stream.
+    ``cycle``/``stats`` surface and the same :meth:`run` and
+    :meth:`retire` contract, over the stream's own trace. Within an open
+    loop only ``cycle`` is current; ``index``, ``position``, the stream
+    cursors, the statistics and ``stream.reached`` are current once the
+    loop closes. Running past the stream's end grows the stream.
     """
 
     def __init__(self, machine, port, stream) -> None:
@@ -97,28 +99,28 @@ class ReplayCore:
         that leaves the clock at or past ``limit``; returns how many.
 
         :meth:`repro.cpu.core.Core.run`'s contract, over the stream's
-        trace; running past the stream's end grows the stream.
+        trace: one step of :meth:`retire`, opened and closed for the call.
         """
-        stream = self.stream
-        done = 0
-        while done < count:
-            available = stream.length - self.position
-            if available <= 0:
-                stream.grow(min(count - done, GROW_CHUNK))
-                continue
-            ran = self._replay(min(count - done, available), limit)
-            done += ran
-            self.position += ran
-            if self.cycle >= limit:
-                break
-        stream.reached = self.position
-        return done
+        if count <= 0:
+            return 0
+        loop = self.retire(count, limit)
+        retired = next(loop)
+        loop.close()
+        return retired
 
-    def _replay(self, count: int, limit) -> int:
-        # Core.run with each hierarchy call replaced by its
-        # recorded level and events; every float operation is the same, in
-        # the same order, so cycles and statistics are bit-identical.
+    def retire(self, count: int, limit=_NO_LIMIT):
+        """The replay loop, as a generator of steps:
+        :meth:`repro.cpu.core.Core.retire`'s contract.
+
+        Only the clock is current at every yield; the cursors, position,
+        statistics and ``stream.reached`` are written back when the loop
+        closes. Running past the stream's end grows the stream.
+        """
+        # Core.retire with each hierarchy call replaced by its recorded
+        # level and events; every float operation is the same, in the same
+        # order, so cycles and statistics are bit-identical.
         stream = self.stream
+        length = stream.length
         fetch_codes = stream.fetches.codes
         data_codes = stream.datas.codes
         mispredicts = stream.mispredicts
@@ -135,6 +137,7 @@ class ReplayCore:
         issue_cost = self._issue_cost
         mlp = self._mlp
         mispredict_penalty = self._mispredict_penalty
+        position = self.position
         index = self.index
         fetched = self._fetches
         data = self._data
@@ -154,94 +157,110 @@ class ReplayCore:
         load_stall_cycles = stats.load_stall_cycles
         store_stall_cycles = stats.store_stall_cycles
         branch_stall_cycles = stats.branch_stall_cycles
-
-        done = 0
-        while done < count:
-            flag = flags[index]
-            pc = pcs[index]
-            index += 1
-            if index == n_records:
-                index = 0
-            cost = issue_cost
-            base_cycles += issue_cost
-            fetch_block = pc >> 6
-            if fetch_block != last_fetch_block:
-                last_fetch_block = fetch_block
-                code = fetch_codes[fetched]
-                fetched += 1
-                latency = fetch_latency[code & 3]
-                if code > 3:
-                    latency += shared(code >> 2, cycle, fetch_llc)
-                if latency > l1i_latency:
-                    stall = latency - l1i_latency
-                    cost += stall
-                    fetch_stall_cycles += stall
-            if flag & FLAG_HAS_LOAD:
-                code = data_codes[data]
-                data += 1
-                latency = data_latency[code & 3]
-                if code > 3:
-                    latency += shared(code >> 2, cycle, data_llc)
-                n_loads += 1
-                mem_accesses += 1
-                mem_access_cycles += latency
-                beyond_l1 = latency - l1d_latency
-                if beyond_l1 > 0:
-                    if flag & FLAG_DEPENDENT:
-                        stall = beyond_l1
-                    else:
-                        stall = beyond_l1 / mlp
-                    cost += stall
-                    load_stall_cycles += stall
-            if flag & FLAG_HAS_STORE:
-                code = data_codes[data]
-                data += 1
-                latency = data_latency[code & 3]
-                if code > 3:
-                    latency += shared(code >> 2, cycle, data_llc)
-                n_stores += 1
-                mem_accesses += 1
-                mem_access_cycles += latency
-                beyond_l1 = latency - l1d_latency
-                if beyond_l1 > 0:
-                    stall = beyond_l1 / STORE_OVERLAP
-                    cost += stall
-                    store_stall_cycles += stall
-            if flag & FLAG_BRANCH:
-                n_branches += 1
-                if mispredicts[branched]:
-                    cost += mispredict_penalty
-                    branch_stall_cycles += mispredict_penalty
-                branched += 1
-            instructions += 1
-            accumulator += cost
-            whole = int(accumulator)
-            if whole:
-                cycle += whole
-                accumulator -= whole
-            done += 1
-            if cycle >= limit:
-                break
-
-        self.index = index
-        self._fetches = fetched
-        self._data = data
-        self._branches = branched
-        self._last_fetch_block = last_fetch_block
-        self.cycle = cycle
-        self._cycle_accumulator = accumulator
-        stats.instructions = instructions
-        stats.loads = n_loads
-        stats.stores = n_stores
-        stats.branches = n_branches
-        stats.mem_access_cycles = mem_access_cycles
-        stats.mem_accesses = mem_accesses
-        stats.base_cycles = base_cycles
-        stats.fetch_stall_cycles = fetch_stall_cycles
-        stats.load_stall_cycles = load_stall_cycles
-        stats.store_stall_cycles = store_stall_cycles
-        stats.branch_stall_cycles = branch_stall_cycles
-        return done
+        try:
+            while True:
+                done = 0
+                while done < count:
+                    if position == length:
+                        stream.grow(min(count - done, GROW_CHUNK))
+                        # A regrown stream may have new columns.
+                        length = stream.length
+                        fetch_codes = stream.fetches.codes
+                        data_codes = stream.datas.codes
+                        mispredicts = stream.mispredicts
+                    stop = min(count, done + length - position)
+                    start = done
+                    while done < stop:
+                        flag = flags[index]
+                        pc = pcs[index]
+                        index += 1
+                        if index == n_records:
+                            index = 0
+                        cost = issue_cost
+                        base_cycles += issue_cost
+                        fetch_block = pc >> 6
+                        if fetch_block != last_fetch_block:
+                            last_fetch_block = fetch_block
+                            code = fetch_codes[fetched]
+                            fetched += 1
+                            latency = fetch_latency[code & 3]
+                            if code > 3:
+                                latency += shared(code >> 2, cycle, fetch_llc)
+                            if latency > l1i_latency:
+                                stall = latency - l1i_latency
+                                cost += stall
+                                fetch_stall_cycles += stall
+                        if flag & FLAG_HAS_LOAD:
+                            code = data_codes[data]
+                            data += 1
+                            latency = data_latency[code & 3]
+                            if code > 3:
+                                latency += shared(code >> 2, cycle, data_llc)
+                            n_loads += 1
+                            mem_accesses += 1
+                            mem_access_cycles += latency
+                            beyond_l1 = latency - l1d_latency
+                            if beyond_l1 > 0:
+                                if flag & FLAG_DEPENDENT:
+                                    stall = beyond_l1
+                                else:
+                                    stall = beyond_l1 / mlp
+                                cost += stall
+                                load_stall_cycles += stall
+                        if flag & FLAG_HAS_STORE:
+                            code = data_codes[data]
+                            data += 1
+                            latency = data_latency[code & 3]
+                            if code > 3:
+                                latency += shared(code >> 2, cycle, data_llc)
+                            n_stores += 1
+                            mem_accesses += 1
+                            mem_access_cycles += latency
+                            beyond_l1 = latency - l1d_latency
+                            if beyond_l1 > 0:
+                                stall = beyond_l1 / STORE_OVERLAP
+                                cost += stall
+                                store_stall_cycles += stall
+                        if flag & FLAG_BRANCH:
+                            n_branches += 1
+                            if mispredicts[branched]:
+                                cost += mispredict_penalty
+                                branch_stall_cycles += mispredict_penalty
+                            branched += 1
+                        instructions += 1
+                        accumulator += cost
+                        whole = int(accumulator)
+                        if whole:
+                            cycle += whole
+                            accumulator -= whole
+                        done += 1
+                        if cycle >= limit:
+                            break
+                    position += done - start
+                    if cycle >= limit:
+                        break
+                self.cycle = cycle
+                count, limit = yield done
+        finally:
+            self.position = position
+            stream.reached = position
+            self.index = index
+            self._fetches = fetched
+            self._data = data
+            self._branches = branched
+            self._last_fetch_block = last_fetch_block
+            self._cycle_accumulator = accumulator
+            stats.instructions = instructions
+            stats.loads = n_loads
+            stats.stores = n_stores
+            stats.branches = n_branches
+            stats.mem_access_cycles = mem_access_cycles
+            stats.mem_accesses = mem_accesses
+            stats.base_cycles = base_cycles
+            stats.fetch_stall_cycles = fetch_stall_cycles
+            stats.load_stall_cycles = load_stall_cycles
+            stats.store_stall_cycles = store_stall_cycles
+            stats.branch_stall_cycles = branch_stall_cycles
 
     def _shared(self, count: int, cycle: int, fixed: int) -> int:
         """Send one access's ``count`` events through the shared stage.
