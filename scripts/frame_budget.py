@@ -64,7 +64,6 @@ from repro.sim.fastcache import simulate_cache_only
 from repro.sim.multicore import simulate_pair
 from repro.sim.simulator import simulate
 from repro.trace import build_trace, get_workload
-from repro.trace.store import MemoryTraceStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PINNED = REPO_ROOT / "tests" / "golden" / "frame_budget.json"
@@ -122,9 +121,9 @@ def _pinte_events(config):
 
 
 def _pinte_sweep(config):
+    # The inline campaign serves every job's trace from its own memo.
     return (lambda: run_campaign(SWEEP_JOBS, config, SWEEP_SCALE,
-                                 processes=1,
-                                 trace_store=MemoryTraceStore()).results), None
+                                 processes=1).results), None
 
 
 def _replay(config):

@@ -56,13 +56,12 @@ from repro.sim import (
     ExperimentScale,
     SimulationResult,
     TEST_SCALE,
-    TraceLibrary,
     simulate,
     simulate_pair,
 )
 from repro.trace import (
     SPEC_WORKLOADS,
-    Trace,
+    PackedTrace,
     TraceRecord,
     WorkloadSpec,
     build_trace,
@@ -82,13 +81,12 @@ __all__ = [
     "MachineConfig",
     "PAPER_PINDUCE_SWEEP",
     "PInTE",
+    "PackedTrace",
     "PinteConfig",
     "SPEC_WORKLOADS",
     "SYSTEM_OWNER",
     "SimulationResult",
     "TEST_SCALE",
-    "Trace",
-    "TraceLibrary",
     "TraceRecord",
     "WorkloadSpec",
     "build_trace",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.trace.record import Trace
+from repro.trace.packed import PackedTrace
 
 BLOCK = 64
 #: Bucket for "colder than everything we track" (cold misses fall here too).
@@ -68,7 +68,7 @@ def miss_rate_curve(histogram: Dict[int, int],
     return curve
 
 
-def trace_addresses(trace: Trace) -> List[int]:
+def trace_addresses(trace: PackedTrace) -> List[int]:
     """Demand memory addresses (loads and stores) of a trace, in order."""
     addresses: List[int] = []
     for record in trace.records:
@@ -79,7 +79,7 @@ def trace_addresses(trace: Trace) -> List[int]:
     return addresses
 
 
-def trace_mrc(trace: Trace, capacities: Sequence[int],
+def trace_mrc(trace: PackedTrace, capacities: Sequence[int],
               block_size: int = BLOCK,
               max_depth: Optional[int] = None) -> Dict[int, float]:
     """Miss-rate curve of one trace's demand stream."""

@@ -13,7 +13,9 @@ multi-hour fan-out needs:
   with backoff, failure capture, resume, progress/ETA wired into
   :mod:`repro.obs`;
 * :mod:`repro.campaign.pool` — the parallel executor: N persistent
-  work-stealing workers;
+  work-stealing workers, each serving its jobs' traces from its own
+  :class:`~repro.trace.store.MemoryTraceStore` (the inline path keeps one
+  per call);
 * :mod:`repro.campaign.faults` — deterministic ``__fault:`` workloads for
   exercising every failure path in CI.
 
@@ -47,7 +49,6 @@ from repro.campaign.faults import (
     fault_workload,
     parse_fault,
 )
-from repro.campaign.pool import WorkerTraceMemo
 from repro.campaign.ids import (
     ID_SCHEME,
     canonical_job_payload,
@@ -103,7 +104,6 @@ __all__ = [
     "StoreContents",
     "TelemetrySettings",
     "WORKERS_FORMAT",
-    "WorkerTraceMemo",
     "build_view",
     "campaign_jobs",
     "canonical_job_payload",

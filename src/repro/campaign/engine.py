@@ -59,6 +59,7 @@ from repro.sim.private import PrivateStreamMemo
 from repro.sim.results import SimulationResult
 from repro.sim.runner import ExperimentScale
 from repro.sim.serialize import result_from_dict
+from repro.trace.store import trace_memo
 
 __all__ = [
     "CampaignError",
@@ -196,11 +197,11 @@ def execute_job(job: Job, config: MachineConfig, scale: ExperimentScale,
 
     This is the single entry point both the inline path and the pool
     workers call, so fault behaviour is identical in either mode.
-    ``trace_store`` (a :class:`~repro.trace.store.TraceStore` or directory
-    path) is forwarded to :func:`repro.sim.batch.run_job` so workers serve
-    traces from the shared on-disk cache; ``observe`` (a
-    :class:`repro.obs.Observation`) gives the job a registry/profiler —
-    the telemetry bus spools it home from worker processes.
+    ``trace_store`` (a trace store or directory path) is forwarded to
+    :func:`repro.sim.batch.run_job`, which serves the job's traces from
+    it; ``observe`` (a :class:`repro.obs.Observation`) gives the job a
+    registry/profiler — the telemetry bus spools it home from worker
+    processes.
     ``private_memo`` (a :class:`~repro.sim.private.PrivateStreamMemo`)
     lets the job replay memoised private-stage streams.
     """
@@ -457,14 +458,20 @@ class _CampaignRun:
 
     # -- inline execution ---------------------------------------------------
     def run_inline(self, pending: List[_Pending]) -> None:
-        """Sequential in-process execution (``pdb``-able, no timeouts)."""
+        """Sequential in-process execution (``pdb``-able, no timeouts).
+
+        The jobs share one :class:`~repro.trace.store.MemoryTraceStore`
+        (:func:`~repro.trace.store.trace_memo` of the campaign's trace
+        store), as each pool worker's jobs do.
+        """
+        traces = trace_memo(self.trace_store)
         for item in pending:
             while True:
                 start = time.perf_counter()
                 try:
                     result = _spooled_execute(item.job, self.config,
                                               self.scale, item.attempt,
-                                              self.trace_store,
+                                              traces,
                                               self._telemetry_target(item),
                                               self.private_memo)
                 except Exception as exc:  # KeyboardInterrupt passes through
@@ -535,11 +542,14 @@ def run_campaign(
     ``shard=(i, n)`` restricts this invocation to a deterministic,
     disjoint 1/n-th of the campaign (see :func:`repro.campaign.ids.shard_jobs`).
 
-    ``trace_store`` (a directory path or
-    :class:`~repro.trace.store.TraceStore`) makes every worker consult the
-    shared on-disk trace cache before generating, so a sharded campaign
-    builds each trace once per machine. Per-job hit/miss tallies travel
-    home in ``result.extra`` and are absorbed into the observation
+    Jobs get their traces from a bounded in-memory
+    :class:`~repro.trace.store.MemoryTraceStore`: one for this call on the
+    inline path, one per worker on the pool; a ``trace_store`` that is one
+    already is used as it is. ``trace_store`` (a directory path or
+    :class:`~repro.trace.store.TraceStore`) puts the shared on-disk trace
+    cache under the memo, so a sharded campaign builds each trace once
+    per machine. Per-job hit/miss tallies (a miss is a generation)
+    travel home in ``result.extra`` and are absorbed into the observation
     registry as ``trace.cache.hit`` / ``trace.cache.miss``.
 
     ``observe`` (a :class:`repro.obs.Observation`) receives campaign

@@ -9,12 +9,14 @@ and keeps every worker busy:
 * **fork once, stream jobs** — N long-lived workers are forked at campaign
   start; jobs stream to them over pipes and results stream back, so the
   per-job cost is one pickle round-trip, not a process launch. Each worker
-  keeps a small in-memory trace memo (:class:`WorkerTraceMemo`), so a
-  worker that re-sees a workload skips even the mmap/build step, and a
-  private-stream memo (:class:`~repro.sim.private.PrivateStreamMemo`), so
-  it runs each trace's private caches once and replays them for every
-  later job on the same trace. The parent, which sees every dispatch,
-  tells a worker which streams no undispatched job needs any more.
+  keeps a bounded in-memory trace memo
+  (:class:`~repro.trace.store.MemoryTraceStore`, over the shared on-disk
+  store when there is one), so a worker that re-sees a trace skips even
+  the read/build step, and a private-stream memo
+  (:class:`~repro.sim.private.PrivateStreamMemo`), so it runs each
+  trace's private caches once and replays them for every later job on
+  the same trace. The parent, which sees every dispatch, tells a worker
+  which streams no undispatched job needs any more.
 * **work stealing** — the parent deals pending jobs round-robin into
   per-worker deques (the same static distribution sharding uses across
   machines). A worker that drains its own deque *steals* the tail of the
@@ -47,81 +49,19 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from collections import Counter, deque
 
 from repro.campaign.store import write_worker_records
 from repro.sim.private import PrivateStreamMemo
 from repro.obs.telemetry import pool_spool_path
+from repro.trace.store import trace_memo
 
-__all__ = [
-    "MEMO_CAPACITY",
-    "PoolExecutor",
-    "WorkerTraceMemo",
-]
-
-#: Traces a worker memoises in memory. Campaigns cycle over a small
-#: workload panel, so a handful of entries covers the working set; the
-#: bound keeps a worker's RSS flat on campaigns with huge panels.
-MEMO_CAPACITY = 32
+__all__ = ["PoolExecutor"]
 
 #: How often the pool republishes liveness/occupancy (seconds).
 PUBLISH_INTERVAL = 0.5
-
-
-class WorkerTraceMemo:
-    """Per-worker in-memory trace cache layered over the shared store.
-
-    A persistent worker runs many jobs that share input traces; memoising
-    built traces in worker memory is the main reason short-job campaigns
-    are fast on the pool. Accounting is chosen so ``result.extra``
-    matches what a fresh process would report:
-
-    * layered over a shared :class:`~repro.trace.store.TraceStore`, a
-      memo hit counts as a store *hit* — the entry provably exists in the
-      underlying store (this worker built it through the store, or read
-      it from there);
-    * layered over nothing, every request counts as a *miss*, exactly
-      like the storeless path that builds each trace from scratch.
-    """
-
-    def __init__(self, underlying=None, capacity: int = MEMO_CAPACITY) -> None:
-        self.underlying = underlying
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._traces: Dict[tuple, object] = {}
-
-    def get_or_build(self, name: str, llc_bytes: int, length: int, seed: int,
-                     registry=None, profiler=None):
-        """The :class:`~repro.trace.store.TraceStore` protocol."""
-        key = (name, llc_bytes, length, seed)
-        trace = self._traces.get(key)
-        if trace is not None:
-            if self.underlying is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-            return trace
-        if self.underlying is not None:
-            hits, misses = self.underlying.hits, self.underlying.misses
-            trace = self.underlying.get_or_build(
-                name, llc_bytes, length, seed,
-                registry=registry, profiler=profiler)
-            self.hits += self.underlying.hits - hits
-            self.misses += self.underlying.misses - misses
-        else:
-            from repro.trace.spec_models import get_workload
-            from repro.trace.synthetic import build_trace
-
-            trace = build_trace(get_workload(name), length, seed, llc_bytes)
-            self.misses += 1
-        if len(self._traces) >= self.capacity:
-            # Evict the oldest insertion; dict order makes this FIFO.
-            self._traces.pop(next(iter(self._traces)))
-        self._traces[key] = trace
-        return trace
 
 
 def _pool_worker_main(recv_conn, send_conn, config, scale,
@@ -137,9 +77,8 @@ def _pool_worker_main(recv_conn, send_conn, config, scale,
     uses — so spool records are indistinguishable.
     """
     from repro.campaign.engine import _spooled_execute
-    from repro.sim.batch import _coerce_store
 
-    memo = WorkerTraceMemo(_coerce_store(trace_store))
+    memo = trace_memo(trace_store)
     streams = PrivateStreamMemo()
     try:
         while True:

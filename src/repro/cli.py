@@ -56,7 +56,7 @@ from repro.configs import get_machine_config, iter_registries
 from repro.core import PAPER_PINDUCE_SWEEP, PinteConfig
 from repro.experiments.reporting import format_table
 from repro.experiments.reproduce import STANDALONE_ARTIFACTS
-from repro.sim import ExperimentScale, TraceLibrary, simulate, simulate_pair
+from repro.sim import ExperimentScale, simulate, simulate_pair
 from repro.trace import (
     SPEC_WORKLOADS,
     build_trace,
@@ -287,11 +287,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             sim_instructions=args.instructions,
                             sample_interval=max(1, args.instructions // 10),
                             seed=args.seed)
-    library = TraceLibrary(config, scale)
     p_values = (tuple(args.p_induce) if args.p_induce
                 else PAPER_PINDUCE_SWEEP)
     for name in args.workloads:
-        trace = library.get(name)
+        trace = build_trace(get_workload(name), scale.trace_length,
+                            scale.seed, config.llc.size)
         isolation = simulate(trace, config,
                              warmup_instructions=scale.warmup_instructions,
                              sim_instructions=scale.sim_instructions,
@@ -914,24 +914,21 @@ def cmd_trace_build(args: argparse.Namespace) -> int:
 
 def cmd_trace_info(args: argparse.Namespace) -> int:
     """``repro trace info`` — summarise a trace file's contents."""
-    import gzip
-
-    from repro.trace import read_trace
-    from repro.trace.packed import (
-        FLAG_BRANCH,
-        FLAG_HAS_LOAD,
-        FLAG_HAS_STORE,
-        as_packed,
-    )
+    from repro.trace import FORMAT_VERSION, read_trace
+    from repro.trace.packed import FLAG_BRANCH, FLAG_HAS_LOAD, FLAG_HAS_STORE
 
     path = Path(args.path)
-    with gzip.open(path, "rb") as handle:
-        magic = handle.read(6)
-    packed = as_packed(read_trace(path))
+    try:
+        packed = read_trace(path)
+    except ValueError as exc:  # its message names the file
+        raise SystemExit(f"repro: {exc}")
+    except (OSError, EOFError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SystemExit(f"repro: {path}: {reason}")
     flags = packed.flags
     rows = [
         ("file", path),
-        ("format", magic.strip().decode("ascii", "replace")),
+        ("format", f"PNTR{FORMAT_VERSION}"),
         ("name", packed.name),
         ("records", len(packed)),
         ("size on disk", f"{path.stat().st_size:,} bytes"),
@@ -1319,15 +1316,24 @@ def build_parser() -> argparse.ArgumentParser:
 #: Lowest value each scale flag accepts: ``(flag, attribute, minimum)``.
 _SCALE_FLAG_MINIMA = (("--instructions", "instructions", 1),
                       ("--warmup", "warmup", 0),
-                      ("--panel", "panel", 0))
+                      ("--panel", "panel", 0),
+                      ("--length", "length", 1))
 
 
 def _check_scale_flags(args: argparse.Namespace) -> None:
-    """Reject a scale flag no run can honour, before anything runs."""
+    """Reject a scale flag or ``--p-induce`` value no run can honour,
+    before anything runs."""
     for flag, attribute, minimum in _SCALE_FLAG_MINIMA:
         value = getattr(args, attribute, None)
         if value is not None and value < minimum:
             raise SystemExit(f"repro: {flag} must be >= {minimum}, "
+                             f"got {value}")
+    p_values = getattr(args, "p_induce", None)
+    if isinstance(p_values, float):
+        p_values = [p_values]
+    for value in p_values or ():
+        if not 0.0 <= value <= 1.0:
+            raise SystemExit(f"repro: --p-induce must be in [0, 1], "
                              f"got {value}")
 
 
@@ -1338,8 +1344,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reported as one clean ``repro: unknown <kind> ...`` line (with
     did-you-mean candidates) instead of a traceback, mirroring the
     result-store checks in the campaign commands; so are campaign limits
-    no run can honour (``--processes 0``, ``--timeout 0``) and scale flags
-    out of range (``--instructions 0``, ``--warmup -1``, ``--panel -1``).
+    no run can honour (``--processes 0``, ``--timeout 0``), scale flags
+    out of range (``--instructions 0``, ``--warmup -1``, ``--panel -1``,
+    ``--length 0``) and ``--p-induce`` outside [0, 1].
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -21,7 +21,8 @@ from typing import Dict, List, Sequence
 from repro.config import MachineConfig
 from repro.core import PinteConfig
 from repro.experiments.reporting import format_table
-from repro.sim import ExperimentScale, SimulationResult, TraceLibrary, simulate
+from repro.sim import ExperimentScale, SimulationResult, simulate
+from repro.trace import build_trace, get_workload
 
 
 @dataclass
@@ -47,6 +48,12 @@ class AblationResult:
         ]
 
 
+def _trace(workload: str, config: MachineConfig, scale: ExperimentScale):
+    """``workload``'s trace at the scale's length and seed."""
+    return build_trace(get_workload(workload), scale.trace_length,
+                       scale.seed, config.llc.size)
+
+
 def _run(trace, config, scale, pinte) -> SimulationResult:
     return simulate(trace, config, pinte=pinte,
                     warmup_instructions=scale.warmup_instructions,
@@ -59,8 +66,7 @@ def run_promote_invalid_ablation(
     workload: str = "470.lbm", p_induce: float = 0.3,
 ) -> AblationResult:
     """Mocked thefts on vs off at the same ``P_induce``."""
-    library = TraceLibrary(config, scale)
-    trace = library.get(workload)
+    trace = _trace(workload, config, scale)
     result = AblationResult(
         name="promote_invalid", workload=workload,
         isolation=_run(trace, config, scale, None),
@@ -79,8 +85,7 @@ def run_max_evictions_ablation(
     caps: Sequence[int] = (1, 2, 4, 8, 0),
 ) -> AblationResult:
     """Sweep the per-trigger eviction cap (0 = associativity, the paper)."""
-    library = TraceLibrary(config, scale)
-    trace = library.get(workload)
+    trace = _trace(workload, config, scale)
     result = AblationResult(
         name="max_evictions", workload=workload,
         isolation=_run(trace, config, scale, None),
@@ -99,10 +104,9 @@ def run_trigger_mode_ablation(
     p_induce: float = 1.0, period_cycles: int = 200,
 ) -> List[AblationResult]:
     """Per-access vs periodic trigger on contrasting workload classes."""
-    library = TraceLibrary(config, scale)
     results = []
     for workload in workloads:
-        trace = library.get(workload)
+        trace = _trace(workload, config, scale)
         result = AblationResult(
             name="trigger_mode", workload=workload,
             isolation=_run(trace, config, scale, None),
@@ -123,8 +127,7 @@ def run_dram_background_ablation(
     rates: Sequence[float] = (0.0, 25.0, 50.0, 100.0),
 ) -> AblationResult:
     """PInTE with increasing synthetic DRAM pressure."""
-    library = TraceLibrary(config, scale)
-    trace = library.get(workload)
+    trace = _trace(workload, config, scale)
     result = AblationResult(
         name="dram_background", workload=workload,
         isolation=_run(trace, config, scale, None),

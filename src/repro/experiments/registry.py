@@ -59,7 +59,7 @@ from repro.experiments.suites import CASE_STUDY_SUITE, FIG10_SUITE
 from repro.sim import ExperimentScale, SimulationResult, adversary_panel
 from repro.sim.batch import Job, job_stream_keys
 from repro.sim.private import PrivateStreamMemo
-from repro.trace.store import MemoryTraceStore
+from repro.trace.store import trace_memo
 
 __all__ = [
     "Artifact",
@@ -306,10 +306,11 @@ def execute_plan(
     pass shares one ``store`` (a path or
     :class:`~repro.campaign.store.ResultStore`), so a single JSONL file
     holds the whole reproduction and ``resume=True`` skips every job id
-    it already contains. ``processes`` defaults to 1 (inline execution);
-    inline runs without an explicit ``trace_store`` share an in-process
-    :class:`~repro.trace.store.MemoryTraceStore` so each input trace is
-    built once per invocation.
+    it already contains. ``processes`` defaults to 1 (inline execution).
+    Every pass shares one in-memory trace memo over ``trace_store``, if
+    given (:func:`~repro.trace.store.trace_memo`), so inline each input
+    trace is built or read once per invocation; pool workers memoise
+    their own (see :func:`~repro.campaign.run_campaign`).
 
     ``inject`` names a fault workload (``raise``/``exit``/``hang``/
     ``flaky:N+name`` — the ``__fault:`` prefix is added if missing) that
@@ -324,8 +325,7 @@ def execute_plan(
     it.
     """
     processes = 1 if processes is None else processes
-    if trace_store is None and timeout_seconds is None and processes <= 1:
-        trace_store = MemoryTraceStore()
+    trace_store = trace_memo(trace_store)
 
     groups: Dict[str, Tuple[MachineConfig, ExperimentScale, List[Job]]] = {}
     keys: Dict[Tuple[int, int], str] = {}  # by identity: plans share objects

@@ -11,7 +11,6 @@ from repro.sim.runner import (
     BENCH_SCALE,
     ExperimentScale,
     TEST_SCALE,
-    TraceLibrary,
     adversary_panel,
 )
 from repro.sim.simulator import DEFAULT_SAMPLE_INTERVAL, simulate
@@ -24,7 +23,6 @@ __all__ = [
     "Sample",
     "SimulationResult",
     "TEST_SCALE",
-    "TraceLibrary",
     "WorkloadProfile",
     "adversary_panel",
     "all_pairs",

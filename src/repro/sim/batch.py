@@ -7,14 +7,14 @@ sharding, whose one entry point is :func:`repro.campaign.run_campaign`.
 This module holds what every campaign is written in:
 :class:`Job` / :func:`run_job` / :func:`campaign_jobs`. Jobs are
 specified by *name*, not by object, so they pickle cheaply: each worker
-rebuilds its trace from the workload registry.
+serves its traces from a trace store by workload name.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig
 from repro.core import PinteConfig
@@ -23,9 +23,7 @@ from repro.sim.private import PrivateStreamMemo, private_key, replays
 from repro.sim.results import SimulationResult
 from repro.sim.runner import ExperimentScale
 from repro.sim.simulator import simulate
-from repro.trace.spec_models import get_workload
-from repro.trace.store import TraceStore
-from repro.trace.synthetic import build_trace
+from repro.trace.store import trace_memo
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,6 @@ class Job:
             object.__setattr__(self, "co_runners", tuple(self.co_runners))
 
 
-def _coerce_store(trace_store) -> Optional[TraceStore]:
-    """Accept anything with ``get_or_build`` (e.g. a
-    :class:`~repro.trace.store.TraceStore` or
-    :class:`~repro.trace.store.MemoryTraceStore`), a directory path, or
-    ``None``."""
-    if trace_store is None or hasattr(trace_store, "get_or_build"):
-        return trace_store
-    return TraceStore(trace_store)
-
-
 def _job_partitioner(job: Job, config: MachineConfig):
     """Build the LLC partitioner a ``multi`` job asked for (or ``None``)."""
     if job.scheme is None or job.scheme == "shared":
@@ -135,29 +123,21 @@ def job_stream_keys(job: Job, config: MachineConfig,
                                                            scale))]
 
 
-def _job_trace(key: Tuple[str, int, int, int],
-               store: Optional[TraceStore]):
-    """One job input trace — from the shared store when available."""
-    if store is not None:
-        return store.get_or_build(*key)
-    name, llc_bytes, length, seed = key
-    return build_trace(get_workload(name), length, seed, llc_bytes)
-
-
 def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
-            trace_store: "Optional[Union[TraceStore, str]]" = None,
+            trace_store=None,
             observe=None,
             private_memo: Optional[PrivateStreamMemo] = None,
             ) -> SimulationResult:
     """Execute one job (also the campaign worker entry point).
 
-    ``trace_store`` — a :class:`~repro.trace.store.TraceStore` or a
-    directory path — serves input traces from the shared on-disk cache
-    instead of regenerating them in every worker. Whatever the source, the
-    result's ``extra`` carries ``trace_cache_hits`` /
-    ``trace_cache_misses`` and ``phase_trace_gen_seconds`` so the campaign
-    engine can aggregate trace-build cost across worker processes (each
-    worker has its own registry; ``extra`` is the only channel home).
+    ``trace_store`` — a :class:`~repro.trace.store.MemoryTraceStore`, a
+    :class:`~repro.trace.store.TraceStore`, a directory path or ``None`` —
+    serves input traces through :func:`~repro.trace.store.trace_memo`, so
+    a job that passes no memo gets a fresh one for itself. The result's ``extra`` carries the store's ``trace_cache_hits`` /
+    ``trace_cache_misses`` deltas (together, one lookup per core) and
+    ``phase_trace_gen_seconds`` so the campaign engine can aggregate
+    trace-build cost across worker processes (each worker has its own
+    registry; ``extra`` is the only channel home).
 
     ``observe`` (a :class:`repro.obs.Observation`) is forwarded to the
     host, and additionally receives a ``trace-gen`` profiler span plus
@@ -174,12 +154,11 @@ def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
     ``phase_private_reused_seconds`` (what the part of the streams it
     replayed but did not build had cost to build).
     """
-    store = _coerce_store(trace_store)
-    hits_before = store.hits if store is not None else 0
-    misses_before = store.misses if store is not None else 0
+    store = trace_memo(trace_store)
+    hits_before, misses_before = store.hits, store.misses
     trace_start = time.perf_counter()
-    trace_keys = job_trace_keys(job, config, scale)
-    traces = [_job_trace(key, store) for key in trace_keys]
+    traces = [store.get_or_build(*key)
+              for key in job_trace_keys(job, config, scale)]
     trace_seconds = time.perf_counter() - trace_start
     streams = None
     if private_memo is not None and observe is None and replays(config):
@@ -243,13 +222,8 @@ def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
         result.extra["phase_private_reused_seconds"] = sum(
             max(0.0, stream.cost_of(stream.reached) - spent)
             for stream, spent in zip(streams, paid))
-    if store is not None:
-        result.extra["trace_cache_hits"] = float(store.hits - hits_before)
-        result.extra["trace_cache_misses"] = float(store.misses
-                                                   - misses_before)
-    else:
-        result.extra["trace_cache_hits"] = 0.0
-        result.extra["trace_cache_misses"] = float(len(traces))
+    result.extra["trace_cache_hits"] = float(store.hits - hits_before)
+    result.extra["trace_cache_misses"] = float(store.misses - misses_before)
     if observe is not None:
         observe.profiler.add_span(
             "trace-gen", trace_start - observe.profiler.origin, trace_seconds)

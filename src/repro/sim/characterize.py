@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.config import MachineConfig
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
-from repro.trace.record import Trace
+from repro.trace.packed import PackedTrace
 from repro.trace.spec_models import (
     CACHE_FRIENDLY,
     CORE_BOUND,
@@ -78,7 +78,7 @@ def profile_from_result(result: SimulationResult) -> WorkloadProfile:
     )
 
 
-def characterize(trace: Trace, config: MachineConfig,
+def characterize(trace: PackedTrace, config: MachineConfig,
                  warmup_instructions: int = 10_000,
                  sim_instructions: int = 30_000,
                  seed: int = 1) -> WorkloadProfile:

@@ -104,8 +104,8 @@ def simulate_cache_only(
     statistics). ``observe`` works as in
     :func:`repro.sim.simulator.simulate`; this host has no core clock, so
     event timestamps count LLC accesses instead.
-    ``trace`` may be a :class:`~repro.trace.record.Trace`, a
-    :class:`~repro.trace.packed.PackedTrace`, or any record iterable.
+    ``trace`` may be a :class:`~repro.trace.packed.PackedTrace` or any
+    record iterable.
 
     ``co_traces`` adds one owner per extra trace sharing the LLC: each
     primary LLC access is interleaved with one LLC access from every

@@ -47,7 +47,7 @@ from repro.sim.session import (
     finalise_result,
     finish,
 )
-from repro.trace.record import Trace
+from repro.trace.packed import PackedTrace
 
 __all__ = [
     "ADDRESS_SPACE_STRIDE",
@@ -58,7 +58,7 @@ __all__ = [
 
 
 def simulate_multiprogrammed(
-    traces: List[Trace],
+    traces: List[PackedTrace],
     config: MachineConfig,
     warmup_instructions: int = 0,
     sim_instructions: Optional[int] = None,
@@ -139,8 +139,8 @@ def simulate_multiprogrammed(
 
 
 def simulate_pair(
-    primary: Trace,
-    secondary: Trace,
+    primary: PackedTrace,
+    secondary: PackedTrace,
     config: MachineConfig,
     warmup_instructions: int = 0,
     sim_instructions: Optional[int] = None,

@@ -1,28 +1,20 @@
-"""Experiment scale, trace cache and adversary panels.
+"""Experiment scale and adversary panels.
 
 The experiments in :mod:`repro.experiments` all follow the same recipe: pick
 workloads, run them in isolation, under a PInTE sweep, and/or against
 2nd-Trace adversaries, at a common scale. This module holds what those runs
-share: the :class:`ExperimentScale`, a :class:`TraceLibrary` that builds
-each trace once, and the deterministic 2nd-Trace :func:`adversary_panel`.
-The runs themselves go through the artifact registry
-(:mod:`repro.experiments.registry`) and the campaign engine.
+share: the :class:`ExperimentScale` and the deterministic 2nd-Trace
+:func:`adversary_panel`. The runs themselves go through the artifact
+registry (:mod:`repro.experiments.registry`) and the campaign engine, which
+serve their traces from :mod:`repro.trace.store`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.config import MachineConfig
-from repro.obs import Observation
-from repro.obs.registry import MetricRegistry
 from repro.serde import ConfigSerde
-from repro.trace.record import Trace
-from repro.trace.spec_models import get_workload
-from repro.trace.store import TraceStore
-from repro.trace.synthetic import build_trace
 
 
 @dataclass(frozen=True)
@@ -66,64 +58,6 @@ TEST_SCALE = ExperimentScale(warmup_instructions=2_000, sim_instructions=8_000,
                              sample_interval=1_000)
 #: Default scale for the benchmark harness.
 BENCH_SCALE = ExperimentScale()
-
-
-class TraceLibrary:
-    """Builds and caches synthetic traces keyed by (workload, llc, length).
-
-    ``store`` plugs in a shared on-disk :class:`~repro.trace.store.TraceStore`
-    consulted before generating, so repeated runs (and concurrent campaign
-    workers) build each trace once per machine. ``observe`` attaches the
-    observability bundle: builds/loads land as ``trace.cache.hit`` /
-    ``trace.cache.miss`` registry counters and ``trace.generate`` /
-    ``trace.load`` profiler spans.
-    """
-
-    def __init__(self, config: MachineConfig, scale: ExperimentScale,
-                 store: Optional[TraceStore] = None,
-                 observe: Optional[Observation] = None) -> None:
-        self.config = config
-        self.scale = scale
-        self.store = store
-        self.observe = observe
-        self._cache: Dict[Tuple[str, int, int, int], Trace] = {}
-
-    def _instruments(self):
-        """(registry, profiler) from the attached observation, if any."""
-        if self.observe is None:
-            return None, None
-        if self.observe.registry is None:
-            self.observe.registry = MetricRegistry()
-        return self.observe.registry, self.observe.profiler
-
-    def _build(self, name: str, length: int, seed: int) -> Trace:
-        registry, profiler = self._instruments()
-        if self.store is not None:
-            return self.store.get_or_build(name, self.config.llc.size, length,
-                                           seed, registry=registry,
-                                           profiler=profiler)
-        start = time.perf_counter()
-        trace = build_trace(get_workload(name), length, seed,
-                            self.config.llc.size)
-        seconds = time.perf_counter() - start
-        if registry is not None:
-            registry.count("trace.cache.miss")
-        if profiler is not None:
-            profiler.add_span("trace.generate", start - profiler.origin,
-                              seconds)
-        return trace
-
-    def get(self, name: str, length: Optional[int] = None,
-            seed: Optional[int] = None) -> Trace:
-        """The trace for ``name`` — from memory, disk store, or generation."""
-        length = length if length is not None else self.scale.trace_length
-        seed = seed if seed is not None else self.scale.seed
-        key = (name, self.config.llc.size, length, seed)
-        trace = self._cache.get(key)
-        if trace is None:
-            trace = self._build(name, length, seed)
-            self._cache[key] = trace
-        return trace
 
 
 def adversary_panel(target: str, all_names: Sequence[str], count: int) -> List[str]:

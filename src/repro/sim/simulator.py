@@ -50,10 +50,10 @@ def simulate(
 ) -> SimulationResult:
     """Run one workload alone (optionally under PInTE contention).
 
-    ``trace`` may be a :class:`~repro.trace.record.Trace`, a
-    :class:`~repro.trace.packed.PackedTrace`, or any iterable of
-    :class:`~repro.trace.record.TraceRecord` — it is packed into columns
-    once up front and the hot loop iterates the columns directly.
+    ``trace`` may be a :class:`~repro.trace.packed.PackedTrace` or any
+    iterable of :class:`~repro.trace.record.TraceRecord` — it is packed
+    into columns once up front and the hot loop iterates the columns
+    directly.
 
     The trace is replayed from the start; statistics gathered during the
     first ``warmup_instructions`` are discarded (cache and predictor state is

@@ -1,5 +1,7 @@
-"""Trace substrate: columnar storage, synthetic generators, I/O, the
-shared on-disk store, and simpoints."""
+"""Trace substrate: the one trace type (:class:`PackedTrace`, columnar,
+with :class:`TraceRecord` as its record-level view), synthetic
+generators, I/O, the trace caches (the on-disk :class:`TraceStore` and
+the bounded in-process :class:`MemoryTraceStore`), and simpoints."""
 
 from repro.trace.io import FORMAT_VERSION, read_trace, write_trace
 from repro.trace.packed import PackedTrace, as_packed
@@ -19,7 +21,7 @@ from repro.trace.mixes import (
     pairs_covered,
     random_mixes,
 )
-from repro.trace.record import Trace, TraceRecord
+from repro.trace.record import TraceRecord
 from repro.trace.simpoint import (
     SimpointWeight,
     uniform_weights,
@@ -39,8 +41,14 @@ from repro.trace.spec_models import (
     workloads_by_class,
     workloads_by_suite,
 )
-from repro.trace.store import StoreEntry, TraceStore, trace_key
-from repro.trace.synthetic import build_packed, build_trace, generate_records
+from repro.trace.store import (
+    MemoryTraceStore,
+    StoreEntry,
+    TraceStore,
+    trace_key,
+    trace_memo,
+)
+from repro.trace.synthetic import build_trace, generate_records
 
 __all__ = [
     "AccessPattern",
@@ -50,6 +58,7 @@ __all__ = [
     "FORMAT_VERSION",
     "LLC_BOUND",
     "MIXED",
+    "MemoryTraceStore",
     "MixedPhasePattern",
     "PackedTrace",
     "PointerChasePattern",
@@ -59,15 +68,14 @@ __all__ = [
     "StencilPattern",
     "StoreEntry",
     "StreamPattern",
-    "Trace",
     "TraceRecord",
     "TraceStore",
     "WorkingSetPattern",
     "WorkloadSpec",
     "as_packed",
-    "build_packed",
     "build_trace",
     "trace_key",
+    "trace_memo",
     "class_balanced_mixes",
     "generate_records",
     "get_workload",

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from repro.trace.packed import PackedTrace, as_packed
-from repro.trace.record import Trace, TraceRecord
+from repro.trace.record import TraceRecord
 
 MAGIC = b"PNTR2\n"
 #: The retired record-interleaved format, recognised only to refuse it.
@@ -33,7 +33,7 @@ _LEGACY_MAGIC = b"PNTR1\n"
 #: Current on-disk format version (what :func:`write_trace` emits).
 FORMAT_VERSION = 2
 
-TraceLike = Union[Trace, PackedTrace, Iterable[TraceRecord]]
+TraceLike = Union[PackedTrace, Iterable[TraceRecord]]
 
 
 def _native(column: array) -> array:
@@ -59,7 +59,7 @@ def write_trace(trace: TraceLike, path: Union[str, Path],
                 name: str = "") -> int:
     """Write a trace to ``path`` as ``PNTR2``; returns the record count.
 
-    Accepts a :class:`Trace`, a :class:`PackedTrace`, or any iterable of
+    Accepts a :class:`PackedTrace` or any iterable of
     :class:`TraceRecord`.
     """
     packed = as_packed(trace, name=name)
@@ -94,12 +94,8 @@ def _read_columns(fh, path: Path) -> PackedTrace:
                        flags=flags)
 
 
-def read_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace previously written by :func:`write_trace`.
-
-    The returned :class:`Trace` is backed by a :class:`PackedTrace`;
-    ``.records`` materialises record objects on demand.
-    """
+def read_trace(path: Union[str, Path]) -> PackedTrace:
+    """Read a trace previously written by :func:`write_trace`."""
     path = Path(path)
     with gzip.open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -115,4 +111,4 @@ def read_trace(path: Union[str, Path]) -> Trace:
         name = _read_exact(fh, name_len, path, "name").decode("utf-8")
         packed = _read_columns(fh, path)
     packed.name = name or path.stem
-    return Trace.from_packed(packed)
+    return packed

@@ -20,11 +20,11 @@ same recipe PR 1 applied to the cache data path:
 flag, never on the value — column entries whose flag is clear are
 "don't care" (e.g. :meth:`PackedTrace.offset` shifts them freely).
 
-:class:`~repro.trace.record.TraceRecord` and
-:class:`~repro.trace.record.Trace` remain the record-level view API: a
-``PackedTrace`` iterates/indexes as records, and :func:`as_packed` coerces
-any record iterable into columns, so every existing entry point keeps
-working.
+``PackedTrace`` is the one trace type: the generator, the file reader and
+the trace stores all hand one out. :class:`~repro.trace.record.TraceRecord`
+is its record-level view: a ``PackedTrace`` iterates/indexes as records,
+and :func:`as_packed` coerces any record iterable into columns, so every
+entry point also accepts a plain record list or generator.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class PackedTrace:
 
     Iteration and indexing materialise :class:`TraceRecord` views on
     demand, so a ``PackedTrace`` drops into any record-level consumer;
-    the ``records`` property memoises a full record list for legacy
-    callers that index repeatedly.
+    the ``records`` property memoises a full record list for callers
+    that index repeatedly.
     """
 
     __slots__ = ("name", "pcs", "loads", "stores", "flags", "_records")
@@ -145,7 +145,7 @@ class PackedTrace:
 
     @property
     def records(self) -> List[TraceRecord]:
-        """Memoised record-object list (the legacy ``Trace.records`` view)."""
+        """Memoised record-object list (see :meth:`to_records`)."""
         if self._records is None:
             self._records = self.to_records()
         return self._records
@@ -194,27 +194,15 @@ class PackedTrace:
             flags=bytearray(self.flags),
         )
 
-    def to_trace(self) -> "object":
-        """Wrap these columns in a :class:`~repro.trace.record.Trace`."""
-        from repro.trace.record import Trace
-
-        return Trace.from_packed(self)
-
 
 def as_packed(trace, name: str = "") -> PackedTrace:
     """Coerce any trace-like input to a :class:`PackedTrace`.
 
-    Accepts a ``PackedTrace`` (returned as-is), a
-    :class:`~repro.trace.record.Trace` (its memoised packed backing), or
-    any iterable of :class:`TraceRecord` (packed in one pass). This is the
-    single coercion point every simulation entry point funnels through,
-    which is what lets ``simulate()`` and friends accept arbitrary record
-    iterables.
+    Accepts a ``PackedTrace`` (returned as-is) or any iterable of
+    :class:`TraceRecord` (packed in one pass). This is the single coercion
+    point every simulation entry point funnels through, which is what lets
+    ``simulate()`` and friends accept arbitrary record iterables.
     """
     if isinstance(trace, PackedTrace):
         return trace
-    packer = getattr(trace, "packed", None)
-    if callable(packer):
-        return packer()
-    return PackedTrace.from_records(
-        trace, name=name or getattr(trace, "name", ""))
+    return PackedTrace.from_records(trace, name=name)

@@ -3,12 +3,13 @@
 The simulator is trace-driven in the ChampSim style: each record is one
 retired instruction with optional memory operands and branch outcome. Records
 are deliberately tiny (``__slots__``) because simulations iterate millions of
-them.
+them. A whole trace is a :class:`~repro.trace.packed.PackedTrace`, whose
+iteration and indexing hand out these records as views.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Optional
 
 
 class TraceRecord:
@@ -77,63 +78,3 @@ class TraceRecord:
             (self.pc, self.load_addr, self.store_addr, self.is_branch, self.taken, self.dependent)
         )
 
-
-class Trace:
-    """A named sequence of :class:`TraceRecord`.
-
-    Simulation entry points accept any iterable of records — a ``Trace``,
-    a :class:`~repro.trace.packed.PackedTrace`, a plain list, or a
-    generator (see :func:`repro.trace.packed.as_packed`); ``Trace`` adds a
-    name (used for reporting) and convenience accessors.
-
-    A ``Trace`` is backed by *either* a materialised record list or a
-    columnar :class:`~repro.trace.packed.PackedTrace`; whichever view is
-    missing is built lazily on first access and memoised. Mutating
-    ``records`` in place after the packed view has been built is not
-    supported (the views would diverge); build a new ``Trace`` instead.
-    """
-
-    def __init__(self, name: str, records: Optional[List[TraceRecord]] = None,
-                 packed=None) -> None:
-        if records is None and packed is None:
-            raise ValueError("Trace needs records or a packed backing")
-        self.name = name
-        self._records = records
-        self._packed = packed
-
-    @classmethod
-    def from_packed(cls, packed, name: Optional[str] = None) -> "Trace":
-        """Wrap a :class:`~repro.trace.packed.PackedTrace` (no copying)."""
-        return cls(name if name is not None else packed.name, packed=packed)
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        """The record-object list (materialised from columns on demand)."""
-        if self._records is None:
-            self._records = self._packed.to_records()
-        return self._records
-
-    def packed(self):
-        """The columnar backing (packed from the record list on demand)."""
-        if self._packed is None:
-            from repro.trace.packed import PackedTrace
-
-            self._packed = PackedTrace.from_records(self._records,
-                                                    name=self.name)
-        return self._packed
-
-    def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self._packed)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        if self._records is not None:
-            return iter(self._records)
-        return iter(self._packed)
-
-    def __getitem__(self, index):
-        return self.records[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Trace(name={self.name!r}, n={len(self)})"

@@ -1,15 +1,19 @@
-"""Shared on-disk trace store: build each trace once per machine.
+"""Trace caches: build each trace once per machine, read it once per call.
 
 Sharded / process-per-job campaigns used to regenerate every synthetic
 trace inside every worker process — the trace tier's equivalent of the
-paper's cost problem (188 one-billion-instruction traces). The
-:class:`TraceStore` is a content-addressed cache of ``PNTR2`` trace files
-keyed by the exact :class:`~repro.sim.runner.TraceLibrary` key scheme —
-(workload, llc_bytes, length, seed) — plus a format-version salt, so a
-format bump can never serve stale bytes. Every consumer (the in-process
-``TraceLibrary``, ``repro.sim.batch.run_job`` workers, the campaign
-engine, the ``repro trace cache`` CLI) consults the store before
-generating.
+paper's cost problem (188 one-billion-instruction traces). Two caches
+serve every consumer (``repro.sim.batch.run_job``, the campaign engine and
+its pool workers, the ``repro trace cache`` CLI):
+
+* :class:`TraceStore` — a content-addressed directory of ``PNTR2`` trace
+  files keyed by (workload, llc_bytes, length, seed) plus a format-version
+  salt (:func:`trace_key`), so a format bump can never serve stale bytes;
+* :class:`MemoryTraceStore` — a bounded in-process memo, optionally
+  layered over a ``TraceStore`` (:func:`trace_memo` makes one). An inline
+  campaign or plan execution keeps one per call and every pool worker
+  keeps one, so each distinct trace is built or read once per call (per
+  worker on the pool).
 
 Writes are atomic (temp file + ``os.replace``) so concurrent campaign
 workers can share one store directory without locking: the worst case is
@@ -17,8 +21,9 @@ two workers both generating the same trace, with one rename winning.
 Corrupt or truncated files are treated as misses and regenerated in
 place.
 
-Observability: hits and misses land on the instance counters and — when a
-registry/profiler is attached — as ``trace.cache.hit``/``trace.cache.miss``
+Observability: both keep ``hits``/``misses`` counters, where a miss is a
+generation and a hit any serve without one, and — when a
+registry/profiler is attached — note ``trace.cache.hit``/``trace.cache.miss``
 :class:`~repro.obs.registry.MetricRegistry` counters and
 ``trace.load``/``trace.generate`` :class:`~repro.obs.profile.PhaseProfiler`
 spans.
@@ -32,20 +37,27 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.trace.io import FORMAT_VERSION, read_trace, write_trace
-from repro.trace.record import Trace
+from repro.trace.packed import PackedTrace
 from repro.trace.spec_models import get_workload
 from repro.trace.synthetic import build_trace
 
-__all__ = ["MemoryTraceStore", "StoreEntry", "TraceStore", "trace_key"]
+__all__ = ["MEMORY_CAPACITY", "MemoryTraceStore", "StoreEntry", "TraceStore",
+           "trace_key", "trace_memo"]
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 
+#: Traces one :class:`MemoryTraceStore` keeps. Campaigns cycle over a
+#: small workload panel, so a handful of entries covers the working set;
+#: the bound keeps a process's RSS flat on campaigns with huge panels.
+MEMORY_CAPACITY = 32
+
 
 def trace_key(name: str, llc_bytes: int, length: int, seed: int) -> str:
-    """The canonical content key: TraceLibrary's scheme + a format salt."""
+    """The canonical content key: (workload, llc, length, seed) + a
+    format salt."""
     return (f"{name}|llc={llc_bytes}|len={length}|seed={seed}"
             f"|fmt={FORMAT_VERSION}")
 
@@ -101,7 +113,7 @@ class TraceStore:
 
     # -- lookup / build -----------------------------------------------------
     def get(self, name: str, llc_bytes: int, length: int,
-            seed: int) -> Optional[Trace]:
+            seed: int) -> Optional[PackedTrace]:
         """The stored trace, or ``None`` when absent or unreadable."""
         path = self.path_for(name, llc_bytes, length, seed)
         if not path.exists():
@@ -114,7 +126,7 @@ class TraceStore:
             return None
 
     def get_or_build(self, name: str, llc_bytes: int, length: int, seed: int,
-                     registry=None, profiler=None) -> Trace:
+                     registry=None, profiler=None) -> PackedTrace:
         """Serve from disk when possible, else generate and persist."""
         start = time.perf_counter()
         trace = self.get(name, llc_bytes, length, seed)
@@ -127,7 +139,7 @@ class TraceStore:
         self.put(trace, llc_bytes, length, seed)
         return trace
 
-    def put(self, trace: Trace, llc_bytes: int, length: int,
+    def put(self, trace: PackedTrace, llc_bytes: int, length: int,
             seed: int) -> Path:
         """Atomically persist ``trace`` under its content key."""
         path = self.path_for(trace.name, llc_bytes, length, seed)
@@ -183,37 +195,66 @@ class TraceStore:
 
 
 class MemoryTraceStore:
-    """In-process trace cache with the :class:`TraceStore` lookup protocol.
+    """Bounded in-process trace memo with the :class:`TraceStore` protocol.
 
-    Inline (single-process) campaigns have no worker boundary to cross, so
-    persisting traces to disk buys nothing — but rebuilding the same trace
-    for every job of an artifact campaign is exactly the cost the paper's
-    Table I complains about. This store keeps built traces in a dict keyed
-    by :func:`trace_key` and mirrors ``TraceStore``'s ``hits``/``misses``
-    counters and registry/profiler notes, so callers (``run_job``, the
-    campaign engine) cannot tell the difference. It is deliberately **not**
-    picklable across workers; parallel campaigns should share an on-disk
-    :class:`TraceStore` instead.
+    A campaign runs many jobs that share input traces; building or reading
+    each one once per call, not once per job, is what keeps short-job
+    campaigns fast. Traces are kept by :func:`trace_key`, at most
+    :data:`MEMORY_CAPACITY` of them, evicting the oldest insertion first.
+    A miss goes to ``underlying`` (a :class:`TraceStore`) when one is
+    given, else to the generator.
+
+    The ``hits``/``misses`` counters mean what ``TraceStore``'s mean: a
+    miss is a generation, anything else a hit. A memo hit is a hit; what
+    the underlying store serves counts as it counted there. Memo hits and
+    storeless builds are noted on the registry/profiler exactly as
+    ``TraceStore`` notes its lookups; the underlying store notes its own.
     """
 
-    def __init__(self) -> None:
-        self._traces = {}
+    def __init__(self, underlying: Optional[TraceStore] = None) -> None:
+        self.underlying = underlying
         self.hits = 0
         self.misses = 0
+        self._traces: Dict[str, PackedTrace] = {}
 
     def get_or_build(self, name: str, llc_bytes: int, length: int, seed: int,
-                     registry=None, profiler=None) -> Trace:
-        """Serve from memory when possible, else generate and remember."""
+                     registry=None, profiler=None) -> PackedTrace:
+        """Serve from memory when possible, else from the underlying store
+        or the generator, and remember the trace."""
         key = trace_key(name, llc_bytes, length, seed)
         start = time.perf_counter()
         trace = self._traces.get(key)
         if trace is not None:
             self._note(True, time.perf_counter() - start, registry, profiler)
             return trace
-        trace = build_trace(get_workload(name), length, seed, llc_bytes)
-        self._note(False, time.perf_counter() - start, registry, profiler)
+        underlying = self.underlying
+        if underlying is None:
+            trace = build_trace(get_workload(name), length, seed, llc_bytes)
+            self._note(False, time.perf_counter() - start, registry, profiler)
+        else:
+            hits, misses = underlying.hits, underlying.misses
+            trace = underlying.get_or_build(name, llc_bytes, length, seed,
+                                            registry=registry,
+                                            profiler=profiler)
+            self.hits += underlying.hits - hits
+            self.misses += underlying.misses - misses
+        if len(self._traces) >= MEMORY_CAPACITY:
+            # Evict the oldest insertion; dict order makes this FIFO.
+            del self._traces[next(iter(self._traces))]
         self._traces[key] = trace
         return trace
 
     # Same bookkeeping as TraceStore._note so observability output matches.
     _note = TraceStore._note
+
+
+def trace_memo(trace_store=None) -> MemoryTraceStore:
+    """The memo to serve traces from: ``trace_store`` itself when it is a
+    :class:`MemoryTraceStore`, else a new one over it — a
+    :class:`TraceStore`, a directory path (a ``TraceStore`` there) or
+    ``None`` (generate)."""
+    if isinstance(trace_store, MemoryTraceStore):
+        return trace_store
+    if trace_store is not None and not isinstance(trace_store, TraceStore):
+        trace_store = TraceStore(trace_store)
+    return MemoryTraceStore(trace_store)

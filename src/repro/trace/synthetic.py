@@ -11,8 +11,8 @@ Two generators share that contract and produce bit-identical streams:
 * :func:`generate_records` — the original record-object generator, kept as
   the lazy reference implementation (and as the object-list baseline the
   trace benchmarks compare against);
-* :func:`build_packed` — the columnar fast path behind :func:`build_trace`.
-  It streams straight into :class:`~repro.trace.packed.PackedTrace` columns
+* :func:`build_trace` — the columnar generator every caller uses. It
+  streams straight into :class:`~repro.trace.packed.PackedTrace` columns
   with no intermediate record objects, exploiting that per body iteration
   only the load addresses, dependency draws and branch outcomes vary: the
   pc column and the static flag bits are replicated as whole-body blocks,
@@ -40,7 +40,7 @@ from repro.trace.packed import (
     FLAG_TAKEN,
     PackedTrace,
 )
-from repro.trace.record import Trace, TraceRecord
+from repro.trace.record import TraceRecord
 from repro.trace.spec_models import WorkloadSpec
 from repro.util.rng import DeterministicRng
 
@@ -151,14 +151,15 @@ def generate_records(
         emitted += 1
 
 
-def build_packed(
+def build_trace(
     spec: WorkloadSpec,
     n_instructions: int,
     seed: int,
     llc_bytes: int,
     body_size: int = DEFAULT_BODY_SIZE,
 ) -> PackedTrace:
-    """Generate straight into columns — no intermediate record objects.
+    """Generate ``spec``'s trace straight into columns — no intermediate
+    record objects.
 
     Bit-identical to ``list(generate_records(...))`` (same seeds, same
     per-stream draw order); several times faster because the static
@@ -228,19 +229,3 @@ def build_packed(
     return PackedTrace(name=spec.name, pcs=pcs, loads=loads, stores=stores,
                        flags=flags)
 
-
-def build_trace(
-    spec: WorkloadSpec,
-    n_instructions: int,
-    seed: int,
-    llc_bytes: int,
-    body_size: int = DEFAULT_BODY_SIZE,
-) -> Trace:
-    """Materialise a full :class:`Trace` for ``spec`` (columnar backing).
-
-    The returned trace is backed by a :class:`PackedTrace` built by
-    :func:`build_packed`; ``.records`` still materialises the familiar
-    record-object list on demand for legacy callers.
-    """
-    return Trace.from_packed(
-        build_packed(spec, n_instructions, seed, llc_bytes, body_size))

@@ -11,7 +11,7 @@ from repro.analysis.mrc import (
     trace_mrc,
     working_set_knee,
 )
-from repro.trace import Trace, TraceRecord, build_trace, get_workload
+from repro.trace import PackedTrace, TraceRecord, build_trace, get_workload
 
 BLOCK = 64
 
@@ -72,12 +72,12 @@ class TestMissRateCurve:
 
 class TestTraceHelpers:
     def test_trace_addresses_order(self):
-        trace = Trace("t", [
+        trace = PackedTrace.from_records([
             TraceRecord(0, load_addr=100),
             TraceRecord(4),
             TraceRecord(8, load_addr=200, store_addr=200),
             TraceRecord(12, store_addr=300),
-        ])
+        ], name="t")
         assert trace_addresses(trace) == [100, 200, 300]
 
 

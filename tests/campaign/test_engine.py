@@ -39,12 +39,15 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 
 
 def canonical(result):
-    """Serialised result with wall-clock timing stripped (the only
-    fields that legitimately differ between identical runs)."""
+    """Serialised result with wall-clock timing and trace-cache tallies
+    stripped (the only fields that legitimately differ between identical
+    runs: whether a job's trace was a memo hit depends on which process
+    ran it, and after which jobs)."""
     record = result_to_dict(result)
     record.pop("wall_time_seconds", None)
     record["extra"] = {key: value for key, value in record["extra"].items()
-                       if not key.endswith("_seconds")}
+                       if not key.endswith("_seconds")
+                       and not key.startswith("trace_cache_")}
     return record
 
 

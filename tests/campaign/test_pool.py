@@ -3,9 +3,12 @@
 The inline path's results are the contract; scenarios here check the pool
 matches them — results, retries, crash capture, timeouts, resume in
 either direction — or exercise the behaviour only the pool has (work
-stealing, worker respawn, per-worker trace memo, liveness records).
+stealing, worker respawn, liveness records). Trace-cache accounting is
+checked on both paths.
 Timing-sensitive cases use tiny simulations and sub-second sleeps.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -18,11 +21,11 @@ from repro.campaign import (
     load_worker_records,
     run_campaign,
 )
-from repro.campaign.pool import WorkerTraceMemo
+from repro.experiments.registry import PlannedJob, UnionPlan, execute_plan
 from repro.sim import ExperimentScale
-from repro.sim.batch import run_job
+from repro.sim.batch import job_trace_keys, run_job
 from repro.sim.serialize import result_to_dict
-from repro.trace.store import MemoryTraceStore
+from repro.trace.store import TraceStore
 
 TINY = ExperimentScale(warmup_instructions=500, sim_instructions=2_000,
                        sample_interval=500)
@@ -33,11 +36,14 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 
 
 def canonical(result):
-    """Serialised result with wall-clock timing stripped."""
+    """Serialised result with wall-clock timing and trace-cache tallies
+    stripped: whether a job's trace was a memo hit depends on which
+    process ran it, and after which jobs."""
     record = result_to_dict(result)
     record.pop("wall_time_seconds", None)
     record["extra"] = {key: value for key, value in record["extra"].items()
-                       if not key.endswith("_seconds")}
+                       if not key.endswith("_seconds")
+                       and not key.startswith("trace_cache_")}
     return record
 
 
@@ -233,29 +239,71 @@ class TestLiveness:
         assert load_worker_records(tmp_path / "nothing.jsonl") is None
 
 
-class TestWorkerTraceMemo:
-    def test_storeless_counts_every_request_as_miss(self, config):
-        memo = WorkerTraceMemo(None)
-        first = memo.get_or_build("470.lbm", config.llc.size, 2_500, 1)
-        second = memo.get_or_build("470.lbm", config.llc.size, 2_500, 1)
-        assert first is second  # memoised object, not a rebuild
-        assert memo.hits == 0
-        assert memo.misses == 2  # matches a storeless run_job per request
+class TestTraceAccounting:
+    """``trace_cache_misses`` counts generations on every path: each job
+    looks up one trace per core, and a memo hit is a hit."""
 
-    def test_store_backed_memo_hit_counts_as_hit(self, config):
-        store = MemoryTraceStore()
-        memo = WorkerTraceMemo(store)
-        memo.get_or_build("470.lbm", config.llc.size, 2_500, 1)
-        memo.get_or_build("470.lbm", config.llc.size, 2_500, 1)
-        assert memo.misses == 1  # the store build
-        assert memo.hits == 1    # the memo hit — provably in the store
-        assert store.misses == 1  # memo shielded the store from call 2
+    #: Shares traces across jobs: the pinte job and the pinned pair reuse
+    #: the isolation job's trace, the default-seeded pair adds one.
+    JOBS = [Job("470.lbm"), Job("470.lbm", mode="pinte", p_induce=0.5),
+            Job("435.gromacs", mode="pair", co_runner="470.lbm"),
+            Job("470.lbm", mode="pair", co_runner="435.gromacs", co_seed=1)]
 
-    def test_capacity_bounds_memo(self, config):
-        memo = WorkerTraceMemo(None, capacity=2)
-        for seed in (1, 2, 3):
-            memo.get_or_build("470.lbm", config.llc.size, 2_500, seed)
-        assert len(memo._traces) == 2
-        # Seed 1 was evicted FIFO; re-requesting it rebuilds.
-        memo.get_or_build("470.lbm", config.llc.size, 2_500, 1)
-        assert memo.misses == 4
+    def _tallies(self, config, report):
+        """Per job: (hits + misses, cores); and the campaign's misses."""
+        per_job = []
+        misses = 0
+        for job, result in zip(self.JOBS, report.results):
+            hits = result.extra["trace_cache_hits"]
+            job_misses = result.extra["trace_cache_misses"]
+            per_job.append((hits + job_misses,
+                            len(job_trace_keys(job, config, TINY))))
+            misses += job_misses
+        return per_job, misses
+
+    def _keys(self, config):
+        return {key for job in self.JOBS
+                for key in job_trace_keys(job, config, TINY)}
+
+    def test_inline_storeless_generates_each_trace_once(self, config):
+        report = run_campaign(self.JOBS, config, TINY, processes=1)
+        per_job, misses = self._tallies(config, report)
+        assert all(lookups == cores for lookups, cores in per_job)
+        assert misses == len(self._keys(config)) == 3
+
+    def test_pool_storeless_counts_one_lookup_per_core(self, config):
+        report = run_campaign(self.JOBS, config, TINY, processes=2)
+        assert report.ok
+        per_job, misses = self._tallies(config, report)
+        assert all(lookups == cores for lookups, cores in per_job)
+        # Each worker generates each key it sees once. However the jobs
+        # split, one worker sees the isolation trace twice (three jobs
+        # read it), so at least one lookup is a memo hit.
+        lookups = sum(cores for _lookups, cores in per_job)
+        assert len(self._keys(config)) <= misses < lookups
+
+    def test_inline_over_primed_store_generates_nothing(self, config,
+                                                        tmp_path):
+        primed = TraceStore(tmp_path / "traces")
+        for key in sorted(self._keys(config)):
+            primed.get_or_build(*key)
+        report = run_campaign(self.JOBS, config, TINY, processes=1,
+                              trace_store=str(tmp_path / "traces"))
+        per_job, misses = self._tallies(config, report)
+        assert all(lookups == cores for lookups, cores in per_job)
+        assert misses == 0
+
+    def test_plan_shares_one_memo_across_contexts(self, config):
+        # Two machine contexts with the same LLC read the same traces:
+        # one plan execution builds each of them once, not once per
+        # context.
+        variant = replace(config, name="variant")
+        plan = UnionPlan(artifacts=(), per_artifact={}, unique=[
+            PlannedJob(job, machine, TINY)
+            for machine in (config, variant) for job in self.JOBS])
+        outcome = execute_plan(plan)
+        assert len(outcome.reports) == 2
+        misses = sum(result.extra["trace_cache_misses"]
+                     for report in outcome.reports
+                     for result in report.results)
+        assert misses == len(self._keys(config))

@@ -10,7 +10,7 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core import PinteConfig
-from repro.sim import ExperimentScale, TraceLibrary, simulate
+from repro.sim import ExperimentScale, simulate
 from repro.trace import build_trace, get_workload
 
 #: Tiny scale so unit tests stay fast.
@@ -26,11 +26,6 @@ def config():
 @pytest.fixture(scope="session")
 def tiny_scale():
     return TINY
-
-
-@pytest.fixture(scope="session")
-def library(config):
-    return TraceLibrary(config, TINY)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Tests for the declarative artifact registry (plan/aggregate/render)."""
 
+import sys
+
 import pytest
 
 from repro.core import PAPER_PINDUCE_SWEEP
@@ -79,11 +81,14 @@ class TestPlanPurity:
             raise AssertionError("plan() must not simulate or build traces")
 
         # Every job runs through run_job, and every trace is built by
-        # build_packed.
+        # build_trace, in whichever module imported it.
         import repro.sim.batch as batch
         monkeypatch.setattr(batch, "run_job", forbidden)
-        import repro.trace.synthetic as synthetic
-        monkeypatch.setattr(synthetic, "build_packed", forbidden)
+        from repro.trace.synthetic import build_trace
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "repro"
+                    and getattr(module, "build_trace", None) is build_trace):
+                monkeypatch.setattr(module, "build_trace", forbidden)
 
     def test_every_plan_is_pure_and_non_empty(self, ctx, no_simulation):
         for name in artifact_names():

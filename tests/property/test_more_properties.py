@@ -8,7 +8,8 @@ from repro.analysis.phases import detect_phases
 from repro.dram import Dram, DramConfig
 from repro.trace.io import read_trace, write_trace
 from repro.trace.mixes import pair_coverage, random_mixes
-from repro.trace.record import Trace, TraceRecord
+from repro.trace.packed import PackedTrace
+from repro.trace.record import TraceRecord
 from repro.trace.simpoint import SimpointWeight, weighted_metric
 
 # -- trace records ------------------------------------------------------------
@@ -33,7 +34,8 @@ class TestTraceIoProperties:
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.trace.gz"
-            write_trace(Trace("prop", record_list), path)
+            write_trace(PackedTrace.from_records(record_list, name="prop"),
+                        path)
             assert read_trace(path).records == record_list
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.sim import simulate, simulate_pair
 from repro.sim.multicore import ADDRESS_SPACE_STRIDE, all_pairs
 from repro.sim.session import core_stream
-from repro.trace import Trace, TraceRecord, build_trace, get_workload
+from repro.trace import PackedTrace, build_trace, get_workload
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,8 @@ class TestPairRun:
 
     def test_empty_trace_rejected(self, config, lbm_trace):
         with pytest.raises(ValueError, match="empty"):
-            simulate_pair(lbm_trace, Trace("empty", []), config)
+            simulate_pair(lbm_trace,
+                          PackedTrace.from_records([], name="empty"), config)
 
     def test_deterministic(self, config, lbm_trace, gromacs_trace):
         a = simulate_pair(lbm_trace, gromacs_trace, config,
@@ -62,7 +63,7 @@ class TestPairRun:
 class TestAddressSpaces:
     def test_core0_unchanged(self, lbm_trace):
         # Zero offset is a zero-copy passthrough of the packed columns.
-        assert core_stream(lbm_trace, 0) is lbm_trace.packed()
+        assert core_stream(lbm_trace, 0) is lbm_trace
 
     def test_core1_offset(self, lbm_trace):
         offset = core_stream(lbm_trace, 1)
@@ -74,7 +75,7 @@ class TestAddressSpaces:
 
     def test_flags_preserved(self, lbm_trace):
         offset = core_stream(lbm_trace, 1)
-        assert offset.flags == lbm_trace.packed().flags
+        assert offset.flags == lbm_trace.flags
 
     def test_same_workload_can_pair_with_itself(self, config, gromacs_trace):
         result = simulate_pair(gromacs_trace, gromacs_trace, config,

@@ -1,8 +1,8 @@
-"""Unit tests for the experiment scale, trace library and adversary panel."""
+"""Unit tests for the experiment scale and adversary panel."""
 
 import pytest
 
-from repro.sim import ExperimentScale, TraceLibrary, adversary_panel
+from repro.sim import ExperimentScale, adversary_panel
 
 SCALE = ExperimentScale(warmup_instructions=500, sim_instructions=2000,
                         sample_interval=500)
@@ -32,25 +32,6 @@ class TestExperimentScale:
     def test_bad_values_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ExperimentScale(**{field: value})
-
-
-class TestTraceLibrary:
-    def test_caches_traces(self, config):
-        library = TraceLibrary(config, SCALE)
-        a = library.get("435.gromacs")
-        b = library.get("435.gromacs")
-        assert a is b
-
-    def test_distinct_lengths_distinct_traces(self, config):
-        library = TraceLibrary(config, SCALE)
-        a = library.get("435.gromacs")
-        b = library.get("435.gromacs", length=1000)
-        assert a is not b
-        assert len(b) == 1000
-
-    def test_trace_named_after_workload(self, config):
-        library = TraceLibrary(config, SCALE)
-        assert library.get("470.lbm").name == "470.lbm"
 
 
 class TestAdversaryPanel:

@@ -8,7 +8,7 @@ from repro.cpu import Core
 from repro.obs import IntervalSampler
 from repro.sim.session import reset_stats
 from repro.sim.simulator import simulate
-from repro.trace import Trace, TraceRecord, build_trace, get_workload
+from repro.trace import TraceRecord, build_trace, get_workload
 from repro.trace.packed import PackedTrace
 from tests.retire import retire
 

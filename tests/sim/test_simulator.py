@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PinteConfig
 from repro.sim import simulate
-from repro.trace import Trace, TraceRecord, build_trace, get_workload
+from repro.trace import PackedTrace, build_trace, get_workload
 
 
 class TestBasicRun:
@@ -32,7 +32,7 @@ class TestBasicRun:
 
     def test_empty_trace_rejected(self, config):
         with pytest.raises(ValueError, match="empty"):
-            simulate(Trace("empty", []), config)
+            simulate(PackedTrace.from_records([], name="empty"), config)
 
     def test_trace_restarts_when_short(self, config):
         trace = build_trace(get_workload("435.gromacs"), 500, 1, config.llc.size)
@@ -41,8 +41,8 @@ class TestBasicRun:
 
 
 class TestTraceInputs:
-    """Entry points accept any record iterable, not just ``Trace``
-    (regression for the docstring/behaviour mismatch in
+    """Entry points accept any record iterable, not just a
+    ``PackedTrace`` (regression for the docstring/behaviour mismatch in
     :mod:`repro.trace.record`)."""
 
     @staticmethod
@@ -59,7 +59,10 @@ class TestTraceInputs:
 
     def test_packed_trace_matches_trace(self, config, lbm_trace):
         baseline = simulate(lbm_trace, config, sim_instructions=2000)
-        packed = simulate(lbm_trace.packed(), config, sim_instructions=2000)
+        # Columns re-packed from the record view, under the trace's name.
+        repacked = PackedTrace.from_records(lbm_trace.records,
+                                            name=lbm_trace.name)
+        packed = simulate(repacked, config, sim_instructions=2000)
         assert self._comparable(packed) == self._comparable(baseline)
         assert packed.trace_name == "470.lbm"
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gzip
 import json
 
 import pytest
@@ -245,12 +246,40 @@ class TestScaleFlags:
         (["campaign", "run", "--store", "unused.jsonl", "--workloads",
           "470.lbm", "--panel", "-1"],
          "repro: --panel must be >= 0, got -1"),
+        (["mrc", "470.lbm", "--length", "0"],
+         "repro: --length must be >= 1, got 0"),
+        (["trace", "build", "470.lbm", "unused.trace.gz", "--length", "-3"],
+         "repro: --length must be >= 1, got -3"),
+        (["run", "470.lbm", "--p-induce", "2"],
+         "repro: --p-induce must be in [0, 1], got 2.0"),
+        (["sweep", "470.lbm", "--p-induce", "0.5", "1.5"],
+         "repro: --p-induce must be in [0, 1], got 1.5"),
+        (["run", "470.lbm", "--p-induce", "-0.1"],
+         "repro: --p-induce must be in [0, 1], got -0.1"),
     ])
     def test_out_of_range_is_one_line_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert str(info.value.code) == message
         assert capsys.readouterr().out == ""
+
+    def test_bad_p_induce_refused_before_campaign_runs(self, tmp_path):
+        store = tmp_path / "results.jsonl"
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "run", "--store", str(store),
+                  "--workloads", "470.lbm", "--p-induce", "0.5", "2",
+                  "--instructions", "1000", "--warmup", "200"])
+        assert str(info.value.code) == ("repro: --p-induce must be in "
+                                        "[0, 1], got 2.0")
+        assert list(tmp_path.iterdir()) == []  # no store, no manifest
+
+    def test_zero_length_prime_caches_nothing(self, tmp_path):
+        store_dir = tmp_path / "store"
+        with pytest.raises(SystemExit) as info:
+            main(["trace", "cache", "prime", "--dir", str(store_dir),
+                  "--workloads", "470.lbm", "--length", "0"])
+        assert str(info.value.code) == "repro: --length must be >= 1, got 0"
+        assert not store_dir.exists()
 
 
 class TestTrace:
@@ -280,6 +309,26 @@ class TestTrace:
         assert "470.lbm" in out
         assert "1000" in out
         assert "PNTR2" in out
+
+    def test_info_on_missing_file_is_one_line_error(self, tmp_path):
+        path = tmp_path / "missing.trace.gz"
+        with pytest.raises(SystemExit) as info:
+            main(["trace", "info", str(path)])
+        assert str(info.value.code) == (f"repro: {path}: "
+                                        "No such file or directory")
+
+    @pytest.mark.parametrize("content", [
+        b"plain text\n", gzip.compress(b"not a trace", mtime=0),
+    ], ids=["not-gzip", "gzip-not-trace"])
+    def test_info_on_non_trace_file_is_one_line_error(self, tmp_path,
+                                                      content):
+        path = tmp_path / "bogus.trace.gz"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as info:
+            main(["trace", "info", str(path)])
+        message = str(info.value.code)
+        assert message.startswith(f"repro: {path}: ")
+        assert "\n" not in message
 
     def test_cache_prime_ls_clear(self, tmp_path, capsys):
         store_dir = tmp_path / "store"

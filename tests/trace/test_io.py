@@ -12,20 +12,20 @@ import struct
 import pytest
 
 from repro.trace.io import FORMAT_VERSION, read_trace, write_trace
-from repro.trace.packed import as_packed
-from repro.trace.record import Trace, TraceRecord
+from repro.trace.packed import PackedTrace, as_packed
+from repro.trace.record import TraceRecord
 from repro.trace.spec_models import get_workload
 from repro.trace.synthetic import build_trace
 
 
 def sample_trace():
-    return Trace("sample", [
+    return PackedTrace.from_records([
         TraceRecord(0x400000),
         TraceRecord(0x400004, load_addr=0x1000),
         TraceRecord(0x400008, load_addr=0x2000, store_addr=0x2000),
         TraceRecord(0x40000C, is_branch=True, taken=True),
         TraceRecord(0x400010, load_addr=0x3000, dependent=True),
-    ])
+    ], name="sample")
 
 
 #: Edge-case record streams, parametrised by name.
@@ -70,13 +70,15 @@ class TestRoundTrip:
     def test_edge_case_round_trip(self, tmp_path, case):
         records = EDGE_CASES[case]
         path = tmp_path / f"{case}.trace.gz"
-        assert write_trace(Trace(case, records), path) == len(records)
+        trace = PackedTrace.from_records(records, name=case)
+        assert write_trace(trace, path) == len(records)
         loaded = read_trace(path)
         assert loaded.records == records
 
     def test_zero_addr_stays_distinct_from_none(self, tmp_path):
         path = tmp_path / "zero.trace.gz"
-        write_trace(Trace("z", EDGE_CASES["zero_load_addr"]), path)
+        write_trace(PackedTrace.from_records(EDGE_CASES["zero_load_addr"],
+                                             name="z"), path)
         loaded = read_trace(path).records
         assert loaded[0].load_addr == 0       # real zero address...
         assert loaded[0].store_addr is None   # ...absent operand is None
@@ -113,7 +115,7 @@ class TestRoundTrip:
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.trace.gz"
-        write_trace(Trace("empty", []), path)
+        write_trace(PackedTrace.from_records([], name="empty"), path)
         assert len(read_trace(path)) == 0
 
     def test_default_version_is_current(self, tmp_path):

@@ -14,9 +14,9 @@ from repro.trace.packed import (
     PackedTrace,
     as_packed,
 )
-from repro.trace.record import Trace, TraceRecord
+from repro.trace.record import TraceRecord
 from repro.trace.spec_models import get_workload
-from repro.trace.synthetic import build_packed, build_trace, generate_records
+from repro.trace.synthetic import build_trace, generate_records
 
 
 def sample_records():
@@ -129,10 +129,6 @@ class TestAsPacked:
         packed = PackedTrace.from_records(sample_records())
         assert as_packed(packed) is packed
 
-    def test_trace_uses_backing(self):
-        trace = Trace("s", sample_records())
-        assert as_packed(trace) is trace.packed()
-
     def test_plain_iterable(self):
         packed = as_packed(iter(sample_records()), name="gen")
         assert packed.name == "gen"
@@ -147,17 +143,17 @@ class TestAsPacked:
 
 
 class TestStreamingBuilder:
-    """build_packed must emit exactly what the record generator emits."""
+    """build_trace must emit exactly what the record generator emits."""
 
     @pytest.mark.parametrize("name", ["435.gromacs", "429.mcf", "605.mcf"])
     def test_matches_generate_records(self, name):
         workload = get_workload(name)
-        streamed = build_packed(workload, 3000, 5, 65536)
+        streamed = build_trace(workload, 3000, 5, 65536)
         reference = PackedTrace.from_records(
             generate_records(workload, 3000, 5, 65536))
         assert streamed == reference
 
     def test_build_trace_is_packed_backed(self):
         trace = build_trace(get_workload("470.lbm"), 1000, 1, 65536)
-        assert isinstance(trace.packed(), PackedTrace)
-        assert len(trace) == len(trace.packed())
+        assert isinstance(trace, PackedTrace)
+        assert len(trace) == len(trace.flags) == 1000

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace.record import Trace, TraceRecord
+from repro.trace.record import TraceRecord
 
 
 class TestTraceRecord:
@@ -42,16 +42,3 @@ class TestTraceRecord:
         with pytest.raises(AttributeError):
             record.bogus = 1
 
-
-class TestTrace:
-    def test_len_and_iter(self):
-        records = [TraceRecord(i) for i in range(5)]
-        trace = Trace("t", records)
-        assert len(trace) == 5
-        assert list(trace) == records
-
-    def test_indexing(self):
-        records = [TraceRecord(i) for i in range(5)]
-        trace = Trace("t", records)
-        assert trace[2].pc == 2
-        assert [r.pc for r in trace[1:3]] == [1, 2]

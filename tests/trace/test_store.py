@@ -1,13 +1,21 @@
-"""Unit tests for the shared on-disk trace store."""
+"""Unit tests for the trace caches: the shared on-disk store and the
+bounded in-memory memo."""
 
 import gzip
+
+import repro.trace.store as store_module
 
 from repro.obs.profile import PhaseProfiler
 from repro.obs.registry import MetricRegistry
 from repro.trace.io import FORMAT_VERSION
 from repro.trace.packed import as_packed
 from repro.trace.spec_models import get_workload
-from repro.trace.store import TraceStore, trace_key
+from repro.trace.store import (
+    MemoryTraceStore,
+    TraceStore,
+    trace_key,
+    trace_memo,
+)
 from repro.trace.synthetic import build_trace
 
 LLC = 65536
@@ -128,3 +136,85 @@ class TestMaintenance:
         assert store.clear() == 2
         assert store.entries() == []
         assert store.clear() == 0
+
+
+def _notes(store):
+    """Hit/miss counters and span names three identical lookups note."""
+    registry, profiler = MetricRegistry(), PhaseProfiler()
+    for _ in range(3):
+        store.get_or_build("470.lbm", LLC, 1000, 7, registry=registry,
+                           profiler=profiler)
+    counts = {name: registry.value(name) if name in registry else 0
+              for name in ("trace.cache.hit", "trace.cache.miss")}
+    return counts, [span.name for span in profiler.spans]
+
+
+class TestMemoryTraceStore:
+    def test_caches_traces(self):
+        memo = MemoryTraceStore()
+        first = memo.get_or_build("435.gromacs", LLC, 1000, 7)
+        assert memo.get_or_build("435.gromacs", LLC, 1000, 7) is first
+
+    def test_distinct_lengths_distinct_traces(self):
+        memo = MemoryTraceStore()
+        long = memo.get_or_build("435.gromacs", LLC, 2500, 7)
+        short = memo.get_or_build("435.gromacs", LLC, 1000, 7)
+        assert short is not long
+        assert len(short) == 1000
+
+    def test_trace_named_after_workload(self):
+        memo = MemoryTraceStore()
+        assert memo.get_or_build("470.lbm", LLC, 1000, 7).name == "470.lbm"
+
+    def test_storeless_memo_hit_counts_as_hit(self):
+        memo = MemoryTraceStore()
+        first = memo.get_or_build("470.lbm", LLC, 1000, 7)
+        second = memo.get_or_build("470.lbm", LLC, 1000, 7)
+        assert first is second  # memoised object, not a rebuild
+        assert (memo.hits, memo.misses) == (1, 1)  # one generation
+        assert first == build_trace(get_workload("470.lbm"), 1000, 7, LLC)
+
+    def test_store_backed_memo_hit_counts_as_hit(self, tmp_path):
+        store = TraceStore(tmp_path)
+        memo = MemoryTraceStore(store)
+        memo.get_or_build("470.lbm", LLC, 1000, 7)
+        memo.get_or_build("470.lbm", LLC, 1000, 7)
+        assert (memo.hits, memo.misses) == (1, 1)  # memo hit, store build
+        assert (store.hits, store.misses) == (0, 1)  # shielded from call 2
+
+    def test_underlying_deltas_pass_through(self, tmp_path):
+        TraceStore(tmp_path).get_or_build("470.lbm", LLC, 1000, 7)
+        store = TraceStore(tmp_path)
+        memo = MemoryTraceStore(store)
+        memo.get_or_build("470.lbm", LLC, 1000, 7)      # read from disk
+        memo.get_or_build("435.gromacs", LLC, 1000, 7)  # generated
+        assert (store.hits, store.misses) == (1, 1)
+        assert (memo.hits, memo.misses) == (1, 1)
+
+    def test_capacity_bounds_memo(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MEMORY_CAPACITY", 2)
+        memo = MemoryTraceStore()
+        for seed in (1, 2, 3):
+            memo.get_or_build("470.lbm", LLC, 1000, seed)
+        assert len(memo._traces) == 2
+        memo.get_or_build("470.lbm", LLC, 1000, 2)  # still held
+        assert (memo.hits, memo.misses) == (1, 3)
+        # Seed 1 was evicted first in, first out; re-requesting rebuilds.
+        memo.get_or_build("470.lbm", LLC, 1000, 1)
+        assert (memo.hits, memo.misses) == (1, 4)
+
+    def test_notes_match_trace_store(self, tmp_path):
+        expected = _notes(TraceStore(tmp_path / "disk"))
+        assert expected == ({"trace.cache.hit": 2, "trace.cache.miss": 1},
+                            ["trace.generate", "trace.load", "trace.load"])
+        assert _notes(MemoryTraceStore()) == expected
+        layered = MemoryTraceStore(TraceStore(tmp_path / "layered"))
+        assert _notes(layered) == expected
+
+    def test_trace_memo_layers_over_what_it_is_given(self, tmp_path):
+        memo = MemoryTraceStore()
+        assert trace_memo(memo) is memo
+        assert trace_memo().underlying is None
+        store = TraceStore(tmp_path)
+        assert trace_memo(store).underlying is store
+        assert trace_memo(str(tmp_path)).underlying.root == tmp_path
