@@ -25,11 +25,6 @@ class BranchStats:
             return 1.0
         return 1.0 - self.mispredictions / self.lookups
 
-    @property
-    def mpki_numerator(self) -> int:
-        """Raw misprediction count (callers divide by kilo-instructions)."""
-        return self.mispredictions
-
     def reset(self) -> None:
         self.lookups = 0
         self.mispredictions = 0

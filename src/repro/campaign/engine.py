@@ -255,9 +255,8 @@ def _spooled_execute(job: Job, config: MachineConfig, scale: ExperimentScale,
     Shared by the pool workers and the inline path so a campaign looks
     identical on the telemetry bus in either execution mode. With
     ``telemetry=None`` this is exactly :func:`execute_job` — no
-    observation bundle, no spool file, no sampling thread. An observed
-    (spooled) job walks its caches in lockstep, so ``private_memo`` only
-    serves the unobserved path.
+    observation bundle, no spool file, no sampling thread. Either way the
+    job replays its private stages from ``private_memo``.
     """
     if telemetry is None:
         return execute_job(job, config, scale, attempt,
@@ -273,7 +272,8 @@ def _spooled_execute(job: Job, config: MachineConfig, scale: ExperimentScale,
     start = time.perf_counter()
     try:
         result = execute_job(job, config, scale, attempt,
-                             trace_store=trace_store, observe=observe)
+                             trace_store=trace_store, observe=observe,
+                             private_memo=private_memo)
     except BaseException:
         spooler.finish(registry=observe.registry, profiler=observe.profiler,
                        status="error",
@@ -381,12 +381,11 @@ class _CampaignRun:
         self._stream_keys: Dict[str, list] = {}
 
     def stream_keys(self, item: _Pending) -> list:
-        """The private streams a job replays (none when observed)."""
+        """The private streams a job replays, observed or not."""
         keys = self._stream_keys.get(item.jid)
         if keys is None:
-            keys = self._stream_keys[item.jid] = (
-                [] if self.telemetry is not None
-                else job_stream_keys(item.job, self.config, self.scale))
+            keys = self._stream_keys[item.jid] = job_stream_keys(
+                item.job, self.config, self.scale)
         return keys
 
     # -- telemetry -----------------------------------------------------------

@@ -333,10 +333,6 @@ class ResultStore:
             raise ValueError(
                 f"{self.path}:{number}: unknown record kind {kind!r}")
 
-    def completed_ids(self) -> Dict[str, dict]:
-        """Ids with a stored *successful* result (what ``--resume`` skips)."""
-        return self.load().results
-
 
 # -- campaign manifest ------------------------------------------------------
 

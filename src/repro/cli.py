@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis import classify, contention_curve
-from repro.campaign import CampaignLimitError
+from repro.campaign import CampaignLimitError, parse_shard
 from repro.components import UnknownComponentError, load_plugin
 from repro.config import MachineConfig
 from repro.configio import load_machine_config, machine_to_dict, machine_to_toml
@@ -249,7 +249,10 @@ def cmd_obs(args: argparse.Namespace) -> int:
     """``repro obs`` — summarise a JSONL event log and map hot sets."""
     from repro.obs import build_heatmap, load_events_jsonl
 
-    events, meta = load_events_jsonl(args.events)
+    try:
+        events, meta = load_events_jsonl(args.events)
+    except OSError as exc:
+        raise SystemExit(f"repro: {args.events}: {exc.strerror or exc}")
     retained: dict = {}
     for event in events:
         retained[event.kind] = retained.get(event.kind, 0) + 1
@@ -669,7 +672,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import (
         RetryPolicy,
         campaign_jobs,
-        parse_shard,
         run_campaign,
         write_campaign_manifest,
     )
@@ -835,7 +837,6 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
         RetryPolicy,
         load_campaign_manifest,
         manifest_path_for,
-        parse_shard,
         run_campaign,
     )
 
@@ -1313,21 +1314,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Lowest value each scale flag accepts: ``(flag, attribute, minimum)``.
+#: Lowest value each numeric flag accepts: ``(flag, attribute, minimum)``.
 _SCALE_FLAG_MINIMA = (("--instructions", "instructions", 1),
                       ("--warmup", "warmup", 0),
                       ("--panel", "panel", 0),
-                      ("--length", "length", 1))
+                      ("--length", "length", 1),
+                      ("--event-capacity", "event_capacity", 1),
+                      ("--dram-background", "dram_background", 0),
+                      ("--retries", "retries", 1),
+                      ("--backoff", "backoff", 0),
+                      ("--telemetry", "telemetry", 0))
 
 
 def _check_scale_flags(args: argparse.Namespace) -> None:
-    """Reject a scale flag or ``--p-induce`` value no run can honour,
-    before anything runs."""
+    """Reject a numeric flag, ``--p-induce`` value or ``--shard`` no run
+    can honour, before anything runs."""
     for flag, attribute, minimum in _SCALE_FLAG_MINIMA:
         value = getattr(args, attribute, None)
         if value is not None and value < minimum:
             raise SystemExit(f"repro: {flag} must be >= {minimum}, "
                              f"got {value}")
+    if getattr(args, "shard", None):
+        try:
+            parse_shard(args.shard)
+        except ValueError as exc:
+            raise SystemExit(f"repro: --shard: {exc}")
     p_values = getattr(args, "p_induce", None)
     if isinstance(p_values, float):
         p_values = [p_values]
@@ -1344,9 +1355,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reported as one clean ``repro: unknown <kind> ...`` line (with
     did-you-mean candidates) instead of a traceback, mirroring the
     result-store checks in the campaign commands; so are campaign limits
-    no run can honour (``--processes 0``, ``--timeout 0``), scale flags
-    out of range (``--instructions 0``, ``--warmup -1``, ``--panel -1``,
-    ``--length 0``) and ``--p-induce`` outside [0, 1].
+    no run can honour (``--processes 0``, ``--timeout 0``), numeric flags
+    below their minimum (``_SCALE_FLAG_MINIMA``), ``--p-induce`` outside
+    [0, 1], a malformed ``--shard`` and an unreadable ``obs`` event log.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -87,10 +87,11 @@ class PrivateCounters(NamedTuple):
     """The private-side statistics a result reports for one core.
 
     A lockstep :class:`Core` reads them off its live caches and predictor;
-    a replayed core (:mod:`repro.sim.private`) rebuilds them from its
-    recorded private stream.
+    a replayed core (:mod:`repro.sim.private`) rebuilds them, each level
+    as a :class:`~repro.cpu.replay.StreamStats`, from its private stream.
     """
 
+    l1i: CacheStats
     l1d: CacheStats
     l2: CacheStats
     branch: BranchStats
@@ -144,8 +145,8 @@ class Core:
         """This core's private-side statistics, read from the live state."""
         hierarchy = self.hierarchy
         return PrivateCounters(
-            l1d=hierarchy.l1d.stats, l2=hierarchy.l2.stats,
-            branch=self.predictor.stats,
+            l1i=hierarchy.l1i.stats, l1d=hierarchy.l1d.stats,
+            l2=hierarchy.l2.stats, branch=self.predictor.stats,
             prefetch_issued=hierarchy.prefetch_issued(),
             prefetch_useful=(hierarchy.l1i.stats.prefetch_useful
                              + hierarchy.l1d.stats.prefetch_useful

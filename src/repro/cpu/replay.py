@@ -23,10 +23,9 @@ also waits for the LLC lookup and the demand's DRAM time).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.branch.base import BranchStats
-from repro.cache.cache import CacheStats
 from repro.cpu.core import STORE_OVERLAP, CoreStats, PrivateCounters
 from repro.trace.packed import (
     FLAG_BRANCH,
@@ -41,6 +40,7 @@ __all__ = [
     "EVENT_PREFETCH",
     "EVENT_WRITEBACK",
     "ReplayCore",
+    "StreamStats",
 ]
 
 #: Event kinds (the low two bits of an event's info word).
@@ -56,6 +56,21 @@ _KIND = 3
 GROW_CHUNK = 512
 
 _NO_LIMIT = float("inf")
+
+
+class StreamStats(NamedTuple):
+    """One private level as its stream knows it: demand accesses, misses."""
+
+    accesses: int
+    misses: int
+
+    @property
+    def hits(self) -> int:
+        return self.accesses - self.misses
+
+    @property
+    def miss_rate(self) -> float:
+        return self.misses / self.accesses if self.accesses else 0.0
 
 
 class ReplayCore:
@@ -315,18 +330,15 @@ class ReplayCore:
         fetch_l2, fetch_llc = stream.fetches.misses(fetch_start,
                                                     self._fetches)
         data_l2, data_llc = stream.datas.misses(data_start, self._data)
-        l1d = CacheStats()
-        l1d.accesses = self._data - data_start
-        l1d.misses = data_l2
-        l2 = CacheStats()
-        l2.accesses = fetch_l2 + data_l2
-        l2.misses = fetch_llc + data_llc
         branch = BranchStats()
         branch.lookups = self._branches - branch_start
         branch.mispredictions = stream.mispredicts.count(
             1, branch_start, self._branches)
         return PrivateCounters(
-            l1d=l1d, l2=l2, branch=branch,
+            l1i=StreamStats(self._fetches - fetch_start, fetch_l2),
+            l1d=StreamStats(self._data - data_start, data_l2),
+            l2=StreamStats(fetch_l2 + data_l2, fetch_llc + data_llc),
+            branch=branch,
             prefetch_issued=(stream.fetches.issued(0, self._fetches)
                              + stream.datas.issued(0, self._data)),
             prefetch_useful=(

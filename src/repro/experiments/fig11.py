@@ -83,11 +83,6 @@ class DimensionSweep:
         shares = self.win_share[p]
         return max(shares, key=shares.get)
 
-    def tie_trend_increasing(self) -> bool:
-        """Does the tie share grow from the lowest to the highest contention?"""
-        ps = sorted(self.tie_share)
-        return self.tie_share[ps[-1]] >= self.tie_share[ps[0]]
-
 
 @dataclass
 class Fig11Result:

@@ -38,10 +38,6 @@ class SchemeOutcome:
     def victim_thefts(self) -> int:
         return self.results[0].thefts_experienced
 
-    @property
-    def victim_weighted_ipc(self) -> float:
-        return self.throughput_component(0)
-
     def throughput_component(self, core: int) -> float:
         return self.weighted_ipcs[core]
 

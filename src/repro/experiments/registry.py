@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.campaign.engine import CampaignReport, RetryPolicy, run_campaign
 from repro.campaign.ids import job_id
 from repro.campaign.store import ResultStore
+from repro.components import UnknownComponentError
 from repro.config import MachineConfig
 from repro.configs import get_machine_config
 from repro.core import PAPER_PINDUCE_SWEEP
@@ -184,12 +185,11 @@ def register(artifact: Artifact) -> Artifact:
 
 
 def get_artifact(name: str) -> Artifact:
-    """Look up one artifact; ``KeyError`` lists what is registered."""
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown artifact {name!r}; registered: "
-                       f"{', '.join(REGISTRY)}") from None
+    """Look up one artifact; an :class:`UnknownComponentError` lists what
+    is registered."""
+    if name not in REGISTRY:
+        raise UnknownComponentError("artifact", name, REGISTRY)
+    return REGISTRY[name]
 
 
 def artifact_names() -> List[str]:

@@ -238,9 +238,10 @@ class MetricRegistry:
 
     # -- absorption of legacy stats objects ---------------------------------
     def absorb_cache(self, prefix: str, stats) -> None:
-        """Publish a :class:`~repro.cache.cache.CacheStats` under ``prefix``."""
+        """Publish a cache's stats under ``prefix``: the fields they hold."""
         for slot, suffix in _CACHE_STAT_NAMES.items():
-            self.counter(f"{prefix}.{suffix}").inc(getattr(stats, slot))
+            if hasattr(stats, slot):
+                self.counter(f"{prefix}.{suffix}").inc(getattr(stats, slot))
         self.gauge(f"{prefix}.miss_rate").set(stats.miss_rate)
 
     def absorb_core(self, prefix: str, stats, cycles: int) -> None:
@@ -288,7 +289,6 @@ class MetricRegistry:
 def collect_host_metrics(
     registry: Optional[MetricRegistry],
     cores=(),
-    hierarchies=(),
     llc=None,
     tracker=None,
     engine=None,
@@ -297,8 +297,9 @@ def collect_host_metrics(
 ) -> MetricRegistry:
     """Absorb one finished run's stats objects into a registry.
 
-    ``cores``/``hierarchies`` are parallel sequences (index = owner id).
-    Private caches land under ``core<i>.l1i/l1d/l2``, the shared LLC under
+    ``cores`` is indexed by owner id. Each core's ``private_counters()``
+    land under ``core<i>.l1i/l1d/l2`` (a replayed core's hold only
+    ``access``, ``hit``, ``miss`` and ``miss_rate``), the shared LLC under
     ``llc``, contention counters under ``core<i>.contention`` (and
     ``system.contention`` for the PInTE adversary). ``start_cycles`` holds
     each core's clock at the warm-up boundary, so derived rates (IPC) cover
@@ -308,10 +309,10 @@ def collect_host_metrics(
     for owner, core in enumerate(cores):
         start = start_cycles[owner] if owner < len(start_cycles) else 0
         registry.absorb_core(f"core{owner}", core.stats, core.cycle - start)
-    for owner, hierarchy in enumerate(hierarchies):
-        registry.absorb_cache(f"core{owner}.l1i", hierarchy.l1i.stats)
-        registry.absorb_cache(f"core{owner}.l1d", hierarchy.l1d.stats)
-        registry.absorb_cache(f"core{owner}.l2", hierarchy.l2.stats)
+        private = core.private_counters()
+        for level in ("l1i", "l1d", "l2"):
+            registry.absorb_cache(f"core{owner}.{level}",
+                                  getattr(private, level))
     if llc is not None:
         registry.absorb_cache("llc", llc.stats)
         if llc.track_reuse:

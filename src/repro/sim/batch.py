@@ -147,8 +147,8 @@ def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
 
     ``private_memo`` (a :class:`~repro.sim.private.PrivateStreamMemo`)
     lets the job replay its cores' private stages from memoised streams,
-    bit-identically; an observed job, or one on an inclusive or exclusive
-    hierarchy, walks its caches in lockstep instead. A replayed result's
+    bit-identically, observed or not; a job on an inclusive or exclusive
+    hierarchy walks its caches in lockstep instead. A replayed result's
     ``extra`` carries ``phase_private_seconds`` (private-stage time this
     job paid, building or extending streams) and
     ``phase_private_reused_seconds`` (what the part of the streams it
@@ -161,7 +161,7 @@ def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
               for key in job_trace_keys(job, config, scale)]
     trace_seconds = time.perf_counter() - trace_start
     streams = None
-    if private_memo is not None and observe is None and replays(config):
+    if private_memo is not None and replays(config):
         budget = scale.warmup_instructions + scale.sim_instructions
         keys = job_stream_keys(job, config, scale)
         streams = [private_memo.stream(key, config, trace, core_id,

@@ -123,16 +123,15 @@ def simulate_multiprogrammed(
     mode = "hybrid" if pinte is not None else "2nd-trace"
     p_induce = pinte.p_induce if pinte is not None else None
     results = [finalise_result(
-        session.cores[0], session.hierarchies[0], session.tracker, 0,
-        outcome.start_cycles[0], outcome.sampler, traces[0].name, mode,
-        session.wall_start, p_induce,
+        session.cores[0], session.tracker, 0, outcome.start_cycles[0],
+        outcome.sampler, traces[0].name, mode, session.wall_start, p_induce,
         "+".join(t.name for t in traces[1:]), seed)]
     for core_id in range(1, n_cores):
         results.append(finalise_result(
-            session.cores[core_id], session.hierarchies[core_id],
-            session.tracker, core_id, outcome.start_cycles[core_id],
-            empty_samplers[core_id - 1], traces[core_id].name, mode,
-            session.wall_start, p_induce, traces[0].name, seed,
+            session.cores[core_id], session.tracker, core_id,
+            outcome.start_cycles[core_id], empty_samplers[core_id - 1],
+            traces[core_id].name, mode, session.wall_start, p_induce,
+            traces[0].name, seed,
         ))
     finish(session, outcome, results)
     return results

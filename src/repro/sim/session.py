@@ -119,16 +119,16 @@ def reset_stats(core: Core, hierarchy: SharedPort,
         setattr(counters, name, 0)
 
 
-def finalise_result(core: Core, hierarchy: SharedPort,
-                    tracker: ContentionTracker, owner: int, start_cycle: int,
-                    sampler: IntervalSampler, trace_name: str, mode: str,
-                    wall_start: float, p_induce: Optional[float],
-                    co_runner: Optional[str], seed: int) -> SimulationResult:
+def finalise_result(core: Core, tracker: ContentionTracker, owner: int,
+                    start_cycle: int, sampler: IntervalSampler,
+                    trace_name: str, mode: str, wall_start: float,
+                    p_induce: Optional[float], co_runner: Optional[str],
+                    seed: int) -> SimulationResult:
     """One core's :class:`SimulationResult` from the shared session state."""
     counters = tracker.counters(owner)
     cycles = core.cycle - start_cycle
     instructions = core.stats.instructions
-    llc = hierarchy.llc
+    llc = core.hierarchy.llc
     private = core.private_counters()
     cpi_stack = {f"cpi_{component}": value
                  for component, value in core.stats.cpi_stack().items()}
@@ -192,7 +192,6 @@ class Session:
     partitioner: Optional[object] = None
     repartition_interval: int = 0
     dram: Optional[Dram] = None
-    hierarchies: List[MemoryHierarchy] = field(default_factory=list)
     cores: List[Core] = field(default_factory=list)
     filters: List[Optional[LruFilter]] = field(default_factory=list)
     n_owners: int = 1
@@ -201,9 +200,8 @@ class Session:
     def reset_statistics(self) -> None:
         """End of warm-up: drop statistics, keep all cache/predictor state."""
         if self.kind == "timing":
-            for owner, (core, hierarchy) in enumerate(
-                    zip(self.cores, self.hierarchies)):
-                reset_stats(core, hierarchy, self.tracker, owner)
+            for owner, core in enumerate(self.cores):
+                reset_stats(core, core.hierarchy, self.tracker, owner)
             if self.engine is not None:
                 self.engine.stats = type(self.engine.stats)()
             # The live-clock hooks' counters are measured-region statistics.
@@ -286,7 +284,7 @@ class SessionBuilder:
         private streams, each core is a
         :class:`~repro.cpu.replay.ReplayCore` on a bare
         :class:`~repro.cache.hierarchy.SharedPort`, replaying its stream's
-        own trace.
+        own trace; an observation sees the same LLC and engine either way.
         """
         config, seed = self.config, self.seed
         n_cores = len(traces)
@@ -299,9 +297,6 @@ class SessionBuilder:
                 raise ValueError(
                     f"private streams replay only in a non-inclusive "
                     f"hierarchy, not {config.inclusion!r}")
-            if self._observe is not None:
-                raise ValueError(
-                    "an observed run walks its private caches in lockstep")
         tracker = ContentionTracker()
         llc = build_llc(config, seed)
         dram = Dram(config.dram)
@@ -350,7 +345,7 @@ class SessionBuilder:
             periodic=periodic, background=background,
             partitioner=partitioner,
             repartition_interval=self._repartition_interval, dram=dram,
-            hierarchies=hierarchies, cores=cores, n_owners=n_cores,
+            cores=cores, n_owners=n_cores,
             wall_start=time.perf_counter(),
         )
 
@@ -754,7 +749,6 @@ def finish(session: Session, outcome: DriveOutcome,
         profiler.add_span("simulate", outcome.measure_start - origin,
                           outcome.measure_seconds)
         observe.registry = collect_host_metrics(
-            observe.registry, cores=tuple(session.cores),
-            hierarchies=tuple(session.hierarchies), llc=session.llc,
+            observe.registry, cores=tuple(session.cores), llc=session.llc,
             tracker=session.tracker, engine=engine, events=session.events,
             start_cycles=tuple(outcome.start_cycles))

@@ -95,8 +95,8 @@ def simulate(
 
     mode = "pinte" if pinte is not None else "isolation"
     result = finalise_result(
-        session.cores[0], session.hierarchies[0], session.tracker, 0,
-        outcome.start_cycles[0], outcome.sampler, trace_name, mode,
-        session.wall_start, pinte.p_induce if pinte else None, None, seed)
+        session.cores[0], session.tracker, 0, outcome.start_cycles[0],
+        outcome.sampler, trace_name, mode, session.wall_start,
+        pinte.p_induce if pinte else None, None, seed)
     finish(session, outcome, [result])
     return result

@@ -137,9 +137,7 @@ SEGMENTS = st.lists(st.tuples(st.integers(0, 260), st.booleans()),
        targets=st.lists(st.integers(1, 120), min_size=3, max_size=3))
 def test_stepper_matches_reference(kind, n_cores, hooks, data, segments,
                                    targets):
-    # An observed run walks its private caches in lockstep: event traces
-    # are drawn for lockstep cores only.
-    traced = kind == "Core" and data.draw(st.booleans(), label="traced")
+    traced = data.draw(st.booleans(), label="traced")
     stepped = _session(kind, n_cores, hooks, traced, targets)
     reference = _session(kind, n_cores, hooks, traced, targets)
     stepper = CoreStepper(stepped)

@@ -19,7 +19,7 @@ from repro.campaign import run_campaign
 from repro.campaign.store import ResultStore, canonical_records
 from repro.config import scaled_config
 from repro.configs import get_machine_config
-from repro.core import PinteConfig
+from repro.core import PAPER_PINDUCE_SWEEP, PinteConfig
 from repro.experiments import table1
 from repro.experiments.registry import (
     PlanContext,
@@ -174,14 +174,52 @@ def test_inclusive_and_exclusive_jobs_add_no_stream(inclusion):
     assert len(memo) == 0
 
 
-def test_observed_jobs_walk_in_lockstep():
+def test_observed_jobs_replay_like_unobserved_ones():
     from repro.obs import Observation
 
+    job = Job("470.lbm", mode="pinte", p_induce=0.1)
     memo = PrivateStreamMemo()
-    result = run_job(Job("470.lbm", mode="pinte", p_induce=0.1),
-                     scaled_config(), SCALE, observe=Observation(),
-                     private_memo=memo)
-    assert "phase_private_seconds" not in result.extra
+    observed = run_job(job, scaled_config(), SCALE, observe=Observation(),
+                       private_memo=memo)
+    assert "phase_private_seconds" in observed.extra
+    assert len(memo) == 1
+    assert comparable(observed) == comparable(
+        run_job(job, scaled_config(), SCALE))
+
+
+class _CountingMemo(PrivateStreamMemo):
+    """A memo that notes each stream it starts."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.started = []
+
+    def stream(self, key, *args):
+        before = len(self)
+        stream = super().stream(key, *args)
+        if len(self) > before:
+            self.started.append(key)
+        return stream
+
+
+def test_telemetry_sweep_builds_one_stream_per_trace(tmp_path):
+    # A spooled (observed) job replays like any other: the isolation run
+    # and a 12-point PInTE sweep on one trace start one private stream.
+    config = scaled_config()
+    jobs = [Job("450.soplex")] + [Job("450.soplex", mode="pinte",
+                                      p_induce=p)
+                                  for p in PAPER_PINDUCE_SWEEP]
+    memo = _CountingMemo()
+    memo.expect(key for job in jobs
+                for key in job_stream_keys(job, config, SCALE))
+    report = run_campaign(jobs, config, SCALE, processes=1,
+                          store=tmp_path / "sweep.jsonl", telemetry=0.05,
+                          private_memo=memo)
+    assert report.ok and report.executed == 13
+    assert len(memo.started) == 1
+    assert len(list((tmp_path / "sweep.telemetry").glob("*.jsonl"))) == 13
+    assert all("phase_private_seconds" in result.extra
+               for result in report.results)
     assert len(memo) == 0
 
 

@@ -6,12 +6,15 @@ alone and together, and the per-access trigger with neither, each through
 ``simulate``, the two-core run ``simulate_pair`` makes and a three-core
 ``simulate_multiprogrammed`` run, with warm-up and sampling, plus
 event-traced single-core and pair runs whose full event sequence is pinned
-by digest. To re-capture after an intended behaviour change, print
+by digest. An event-traced run replays its memoised private streams
+(:mod:`repro.sim.private`) to the same pin as it walks its private caches
+in lockstep. To re-capture after an intended behaviour change, print
 ``{case: outcome(case) for case in PINNED}`` and
 ``{case: trace_outcome(case) for case in PINNED_EVENTS}`` and paste them.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.config import scaled_config
 from repro.core import PinteConfig
 from repro.obs import Observation
 from repro.sim.multicore import simulate_multiprogrammed
+from repro.sim.private import PrivateStream
 from repro.sim.simulator import simulate
 from repro.trace import build_trace, get_workload
 
@@ -60,16 +64,19 @@ def _fields(result):
             tuple(result.extra.get(name) for name in HOOK_EXTRAS))
 
 
-def _run(host, pinte, observe=None):
+def _run(host, pinte, observe=None, replayed=False):
     config = scaled_config()
-    traces = _traces()
+    traces = _traces()[:{"single": 1, "pair": 2}.get(host, 3)]
     kwargs = dict(pinte=pinte, warmup_instructions=WARMUP,
                   sim_instructions=BUDGET, sample_interval=INTERVAL,
                   seed=SEED, observe=observe)
+    if replayed:
+        kwargs["private_streams"] = [
+            PrivateStream(config, trace, core_id, SEED + core_id,
+                          WARMUP + BUDGET)
+            for core_id, trace in enumerate(traces)]
     if host == "single":
         return [simulate(traces[0], config, **kwargs)]
-    if host == "pair":
-        return simulate_multiprogrammed(traces[:2], config, **kwargs)
     return simulate_multiprogrammed(traces, config, **kwargs)
 
 
@@ -79,12 +86,17 @@ def outcome(case):
     return tuple(_fields(result) for result in _run(host, PINTES[pinte]))
 
 
-def trace_outcome(case):
-    """(events recorded, per-kind counts, digest of every event, the
-    primary's fields) for one event-traced case."""
+def _observed(case, replayed=False):
+    """One event-traced case's results and observation."""
     host, pinte = case
     observe = Observation.with_events()
-    results = _run(host, PINTES.get(pinte), observe)
+    return _run(host, PINTES.get(pinte), observe, replayed), observe
+
+
+def trace_outcome(case, replayed=False):
+    """(events recorded, per-kind counts, digest of every event, the
+    primary's fields) for one event-traced case."""
+    results, observe = _observed(case, replayed)
     events = observe.events
     assert events.dropped == 0
     digest = hashlib.sha256(
@@ -225,6 +237,27 @@ def test_hooked_run_matches_pin(case):
 @pytest.mark.parametrize("case", sorted(PINNED_EVENTS, key=repr), ids=repr)
 def test_event_trace_matches_pin(case):
     assert trace_outcome(case) == PINNED_EVENTS[case]
+    assert trace_outcome(case, replayed=True) == PINNED_EVENTS[case]
+
+
+#: A core's private-level registry fields: ``core<i>.<level>.<field>``.
+PRIVATE_FIELD = re.compile(r"core\d+\.(l1i|l1d|l2)\.(\w+)$")
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EVENTS, key=repr), ids=repr)
+def test_replayed_registry_matches_lockstep(case):
+    # A replayed private level publishes only what its stream knows; every
+    # field both paths publish is equal.
+    results, observe = _observed(case)
+    walked = observe.registry.as_dict()
+    replayed = _observed(case, replayed=True)[1].registry.as_dict()
+    assert {name for name in walked if not PRIVATE_FIELD.match(name)} == {
+        name for name in replayed if not PRIVATE_FIELD.match(name)}
+    private = [PRIVATE_FIELD.match(name) for name in replayed]
+    assert sorted(match.group(2) for match in private if match) == sorted(
+        ["access", "hit", "miss", "miss_rate"] * 3 * len(results))
+    for name, value in replayed.items():
+        assert walked[name] == value, name
 
 
 def test_pins_exercise_the_hooks():

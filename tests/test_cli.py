@@ -175,6 +175,13 @@ class TestObsCommand:
         out = capsys.readouterr().out
         assert "0 events" in out
 
+    def test_missing_log_is_one_line_error(self, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        with pytest.raises(SystemExit) as info:
+            main(["obs", str(missing)])
+        assert str(info.value.code) == (f"repro: {missing}: "
+                                        "No such file or directory")
+
 
 class TestSweep:
     def test_sweep_classifies(self, capsys):
@@ -271,6 +278,39 @@ class TestScaleFlags:
                   "--instructions", "1000", "--warmup", "200"])
         assert str(info.value.code) == ("repro: --p-induce must be in "
                                         "[0, 1], got 2.0")
+        assert list(tmp_path.iterdir()) == []  # no store, no manifest
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "470.lbm", "--instructions", "1000", "--events",
+          "events.jsonl", "--event-capacity", "0"],
+         "repro: --event-capacity must be >= 1, got 0"),
+        (["run", "470.lbm", "--instructions", "1000",
+          "--dram-background", "-5"],
+         "repro: --dram-background must be >= 0, got -5.0"),
+        (["campaign", "run", "--store", "results.jsonl", "--workloads",
+          "470.lbm", "--retries", "0"],
+         "repro: --retries must be >= 1, got 0"),
+        (["campaign", "resume", "results.jsonl", "--retries", "0"],
+         "repro: --retries must be >= 1, got 0"),
+        (["campaign", "run", "--store", "results.jsonl", "--workloads",
+          "470.lbm", "--backoff", "-1"],
+         "repro: --backoff must be >= 0, got -1.0"),
+        (["campaign", "run", "--store", "results.jsonl", "--workloads",
+          "470.lbm", "--telemetry", "-1"],
+         "repro: --telemetry must be >= 0, got -1.0"),
+        (["campaign", "run", "--store", "results.jsonl", "--workloads",
+          "470.lbm", "--shard", "x"],
+         "repro: --shard: shard must look like 'i/n', got 'x'"),
+        (["campaign", "resume", "results.jsonl", "--shard", "3/2"],
+         "repro: --shard: shard index must be in [0, 2), got 3/2"),
+    ], ids=["event-capacity", "dram-background", "retries",
+            "resume-retries", "backoff", "telemetry", "shard", "resume-shard"])
+    def test_refused_before_anything_is_written(self, argv, message,
+                                                tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert str(info.value.code) == message
         assert list(tmp_path.iterdir()) == []  # no store, no manifest
 
     def test_zero_length_prime_caches_nothing(self, tmp_path):
@@ -536,8 +576,15 @@ class TestArtifactCommands:
         assert "executed 0 job(s)" in second
 
     def test_unknown_artifact_rejected(self):
-        with pytest.raises(KeyError, match="unknown artifact"):
+        with pytest.raises(SystemExit, match="^repro: unknown artifact"):
             main(["artifact", "plan", "fig99"] + self.ARGS)
+
+    def test_unknown_artifact_run_suggests_candidates(self):
+        with pytest.raises(SystemExit) as info:
+            main(["artifact", "run", "fig1a"] + self.ARGS)
+        assert str(info.value.code).startswith(
+            "repro: unknown artifact 'fig1a'; known: ")
+        assert "(did you mean 'fig1' or 'fig11'?)" in str(info.value.code)
 
 
 class TestReproduceResume:
