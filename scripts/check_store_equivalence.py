@@ -13,9 +13,11 @@ Usage::
 
     python scripts/check_store_equivalence.py A.jsonl B.jsonl
 
-Exit 0 when equivalent, 1 with the first differing job ids otherwise.
-CI's ``pool-smoke`` job runs this against a pool store and an inline
-rerun of the same jobs.
+Exit 0 when equivalent, 1 with the first differing job ids otherwise,
+and 2 on a usage error or a path that holds no store (missing or empty),
+so a comparison never passes because no store was written. CI's
+``pool-smoke`` job runs this against a pool store and an inline rerun
+of the same jobs.
 """
 
 from __future__ import annotations
@@ -45,8 +47,14 @@ def main(argv) -> int:
     from repro.campaign import ResultStore, canonical_records
 
     left_path, right_path = argv
-    left = canonical_records(ResultStore(left_path).load())
-    right = canonical_records(ResultStore(right_path).load())
+    stores = [ResultStore(path) for path in argv]
+    missing = [path for path, store in zip(argv, stores)
+               if not store.exists()]
+    if missing:
+        print(f"no campaign store at {' or '.join(missing)}",
+              file=sys.stderr)
+        return 2
+    left, right = (canonical_records(store.load()) for store in stores)
     if left == right:
         results = sum(1 for entry in left if entry.get("kind") == "result")
         print(f"stores equivalent: {results} result(s), "

@@ -284,7 +284,14 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """``repro sweep`` — P_induce sweep + sensitivity class per workload."""
+    """``repro sweep`` — P_induce sweep + sensitivity class per workload.
+
+    The isolation and PInTE points run as one inline campaign, so each
+    workload's private caches run once and every point replays them.
+    """
+    from repro.campaign import run_campaign
+    from repro.sim.batch import campaign_jobs
+
     config = _resolve_machine(args)
     scale = ExperimentScale(warmup_instructions=args.warmup,
                             sim_instructions=args.instructions,
@@ -293,37 +300,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p_values = (tuple(args.p_induce) if args.p_induce
                 else PAPER_PINDUCE_SWEEP)
     for name in args.workloads:
-        trace = build_trace(get_workload(name), scale.trace_length,
-                            scale.seed, config.llc.size)
-        isolation = simulate(trace, config,
-                             warmup_instructions=scale.warmup_instructions,
-                             sim_instructions=scale.sim_instructions,
-                             sample_interval=scale.sample_interval,
-                             seed=scale.seed)
-        results = [
-            simulate(trace, config, pinte=PinteConfig(p, seed=scale.seed),
-                     warmup_instructions=scale.warmup_instructions,
-                     sim_instructions=scale.sim_instructions,
-                     sample_interval=scale.sample_interval, seed=scale.seed)
-            for p in p_values
-        ]
-        rows = [
-            (f"{r.p_induce:.3f}", f"{r.ipc / isolation.ipc:.3f}",
-             f"{r.miss_rate:.3f}", f"{r.amat:.1f}",
-             f"{r.interference_rate:.3f}")
-            for r in results
-        ]
-        print(format_table(
-            ["P_induce", "weighted IPC", "MR", "AMAT", "interference"],
-            rows,
-            title=f"{name} (isolation IPC {isolation.ipc:.4f})",
-        ))
-        report = classify(name, results, isolation)
-        curve = contention_curve(results, isolation.ipc)
-        print(f"sensitivity: {report.classification.upper()} "
-              f"(SCP {report.scp:.0%}, TPL {report.tpl:.0%}, "
-              f"{len(curve)} contention-rate groups)\n")
+        get_workload(name)  # an unknown name fails here, in one line
+    report = run_campaign(campaign_jobs(args.workloads, p_values), config,
+                          scale, processes=1, raise_on_failure=True)
+    points = 1 + len(p_values)
+    for at, name in enumerate(args.workloads):
+        isolation, *results = report.results[at * points:(at + 1) * points]
+        print(_sweep_report(name, isolation, results))
     return 0
+
+
+def _sweep_report(name: str, isolation, results) -> str:
+    """One workload's ``repro sweep`` table and sensitivity line."""
+    rows = [
+        (f"{r.p_induce:.3f}", f"{r.ipc / isolation.ipc:.3f}",
+         f"{r.miss_rate:.3f}", f"{r.amat:.1f}",
+         f"{r.interference_rate:.3f}")
+        for r in results
+    ]
+    table = format_table(
+        ["P_induce", "weighted IPC", "MR", "AMAT", "interference"],
+        rows,
+        title=f"{name} (isolation IPC {isolation.ipc:.4f})",
+    )
+    report = classify(name, results, isolation)
+    curve = contention_curve(results, isolation.ipc)
+    return (f"{table}\n"
+            f"sensitivity: {report.classification.upper()} "
+            f"(SCP {report.scp:.0%}, TPL {report.tpl:.0%}, "
+            f"{len(curve)} contention-rate groups)\n")
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:

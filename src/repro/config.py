@@ -16,7 +16,10 @@ Three presets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple, Optional
 
 from repro.dram import DramConfig
 from repro.serde import ConfigSerde
@@ -42,9 +45,32 @@ class CacheLevelConfig(ConfigSerde):
             raise ValueError("cache size, associativity and latency must be positive")
 
 
+#: Stores retire through a write buffer; their latency is overlapped far more
+#: aggressively than loads.
+STORE_OVERLAP = 8
+
+#: The finest core clock tick: 1/65536 cycle.
+MAX_TICKS_PER_CYCLE = 1 << 16
+
+
+class TickTable(NamedTuple):
+    """A core's costs in whole clock ticks, so its clock is exact in any
+    summation order: ``per_cycle`` is lcm(issue_width, STORE_OVERLAP, the
+    numerator of mlp); then one issue slot, one cycle of an overlapped
+    load's and of a store's latency, and a branch flush. A stall that is
+    not overlapped costs ``per_cycle`` per cycle."""
+
+    per_cycle: int
+    issue: int
+    load: int
+    store: int
+    mispredict: int
+
+
 @dataclass(frozen=True)
 class CoreConfig(ConfigSerde):
-    """Cycle-accounting core parameters."""
+    """Cycle-accounting core parameters. ``mlp`` counts as the decimal it
+    is written as (``1.1`` is 11/10) in :attr:`tick_table`."""
 
     issue_width: int = 4
     mispredict_penalty: int = 15
@@ -58,6 +84,22 @@ class CoreConfig(ConfigSerde):
             raise ValueError("mlp must be >= 1 (1 = fully serialised)")
         if self.mispredict_penalty < 0:
             raise ValueError("mispredict_penalty must be non-negative")
+        self.tick_table  # refuses a tick finer than the clock counts
+
+    @cached_property
+    def tick_table(self) -> TickTable:
+        """This core's costs in clock ticks, derived once per config."""
+        mlp = Fraction(str(self.mlp))
+        per_cycle = lcm(self.issue_width, STORE_OVERLAP, mlp.numerator)
+        if per_cycle > MAX_TICKS_PER_CYCLE:
+            raise ValueError(
+                f"mlp={self.mlp!r} ({mlp}) with issue_width="
+                f"{self.issue_width} needs {per_cycle} clock ticks per "
+                f"cycle; at most {MAX_TICKS_PER_CYCLE} are allowed")
+        return TickTable(per_cycle, per_cycle // self.issue_width,
+                         per_cycle * mlp.denominator // mlp.numerator,
+                         per_cycle // STORE_OVERLAP,
+                         per_cycle * self.mispredict_penalty)
 
 
 @dataclass(frozen=True)

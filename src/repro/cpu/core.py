@@ -7,6 +7,10 @@ when the access is *dependent* (pointer chasing), divided by the configured
 memory-level-parallelism factor otherwise; branch mispredictions add a flush
 penalty. This is enough to make IPC respond to cache contention the way the
 paper's metrics need (IPC, MR, AMAT), while staying fast in pure Python.
+
+The clock counts integer ticks: every cost is a whole number of them
+(:attr:`repro.config.CoreConfig.tick_table`), so ``cycle``, which is
+``ticks // tick_table.per_cycle``, is exact in any summation order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.branch import make_predictor
 from repro.branch.base import BranchStats
 from repro.cache.cache import CacheStats
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.config import CoreConfig
+from repro.config import CoreConfig, TickTable
 from repro.trace.packed import (
     FLAG_BRANCH,
     FLAG_DEPENDENT,
@@ -26,10 +30,6 @@ from repro.trace.packed import (
     FLAG_TAKEN,
     PackedTrace,
 )
-
-#: Stores retire through a write buffer; their latency is overlapped far more
-#: aggressively than loads.
-STORE_OVERLAP = 8.0
 
 _NO_LIMIT = float("inf")
 
@@ -40,26 +40,29 @@ class CoreStats:
     The stack components (base issue bandwidth, instruction fetch, load
     stalls, store stalls, branch flushes) sum to the core's total cycles, so
     ``cpi_stack()`` explains exactly where time went — the standard way to
-    interpret why contention hurt a configuration.
+    interpret why contention hurt a configuration. Stalls are counted in
+    clock ticks (``tick_table``) and the base component is the instruction
+    count's issue slots, so the components sum exactly to the ticks elapsed
+    since the statistics were reset.
     """
 
-    __slots__ = ("instructions", "loads", "stores", "branches",
+    __slots__ = ("tick_table", "instructions", "loads", "stores", "branches",
                  "mem_access_cycles", "mem_accesses",
-                 "base_cycles", "fetch_stall_cycles", "load_stall_cycles",
-                 "store_stall_cycles", "branch_stall_cycles")
+                 "fetch_stall_ticks", "load_stall_ticks",
+                 "store_stall_ticks", "branch_stall_ticks")
 
-    def __init__(self) -> None:
+    def __init__(self, tick_table: TickTable) -> None:
+        self.tick_table = tick_table
         self.instructions = 0
         self.loads = 0
         self.stores = 0
         self.branches = 0
         self.mem_access_cycles = 0
         self.mem_accesses = 0
-        self.base_cycles = 0.0
-        self.fetch_stall_cycles = 0.0
-        self.load_stall_cycles = 0.0
-        self.store_stall_cycles = 0.0
-        self.branch_stall_cycles = 0.0
+        self.fetch_stall_ticks = 0
+        self.load_stall_ticks = 0
+        self.store_stall_ticks = 0
+        self.branch_stall_ticks = 0
 
     @property
     def amat(self) -> float:
@@ -70,17 +73,14 @@ class CoreStats:
 
     def cpi_stack(self) -> dict:
         """Per-instruction cycle breakdown; components sum to total CPI."""
-        if self.instructions == 0:
-            return {"base": 0.0, "fetch": 0.0, "load": 0.0, "store": 0.0,
-                    "branch": 0.0}
-        n = self.instructions
-        return {
-            "base": self.base_cycles / n,
-            "fetch": self.fetch_stall_cycles / n,
-            "load": self.load_stall_cycles / n,
-            "store": self.store_stall_cycles / n,
-            "branch": self.branch_stall_cycles / n,
-        }
+        table = self.tick_table
+        # One correctly rounded division per component.
+        scale = (self.instructions or 1) * table.per_cycle
+        return {"base": self.instructions * table.issue / scale,
+                "fetch": self.fetch_stall_ticks / scale,
+                "load": self.load_stall_ticks / scale,
+                "store": self.store_stall_ticks / scale,
+                "branch": self.branch_stall_ticks / scale}
 
 
 class PrivateCounters(NamedTuple):
@@ -107,7 +107,8 @@ class Core:
     The core owns its trace columns and its cursor into them (``index``,
     the row the next instruction retires from). :meth:`retire` is the one
     retirement loop: a scheduler resumes it once per step, and :meth:`run`
-    opens it for a single step.
+    opens it for a single step. ``ticks`` is the exact elapsed time and
+    ``cycle`` its whole cycles.
     """
 
     def __init__(self, config: CoreConfig, hierarchy: MemoryHierarchy,
@@ -117,17 +118,10 @@ class Core:
         self.trace = trace
         self.index = 0
         self.predictor = make_predictor(config.branch_predictor)
-        self.stats = CoreStats()
+        self.stats = CoreStats(config.tick_table)
         self.cycle = 0
-        self._issue_cost = 1.0 / config.issue_width
-        self._cycle_accumulator = 0.0
+        self.ticks = 0
         self._last_fetch_block = -1
-        # Per-instruction hot-path bindings (cache latencies and core knobs
-        # are fixed for the life of a simulation).
-        self._l1i_latency = hierarchy.l1i.latency
-        self._l1d_latency = hierarchy.l1d.latency
-        self._mlp = config.mlp
-        self._mispredict_penalty = config.mispredict_penalty
 
     @property
     def ipc(self) -> float:
@@ -138,7 +132,7 @@ class Core:
 
     def reset_stats(self) -> None:
         """Warm-up boundary: clear retirement and predictor statistics."""
-        self.stats = CoreStats()
+        self.stats = CoreStats(self.config.tick_table)
         self.predictor.stats.reset()
 
     def private_counters(self) -> PrivateCounters:
@@ -175,9 +169,9 @@ class Core:
         The first step is ``run(count, limit)``'s; each later step is sent
         as a ``(count, limit)`` tuple, with ``count >= 1``, and each yields
         how many instructions it retired. The loop binds the trace, the
-        hierarchy, the constants and the statistics into locals once, when
-        it opens, so only the clock, ``self.cycle``, is current at every
-        yield; the cursor, fetch state, accumulator and statistics are
+        hierarchy, the tick table and the statistics into locals once,
+        when it opens, so only the clock, ``self.cycle``, is current at
+        every yield; the cursor, fetch state, ticks and statistics are
         written back when the loop closes. Nothing else may run or reset
         the core while a loop is open.
         """
@@ -194,25 +188,23 @@ class Core:
         load = hierarchy.load
         store = hierarchy.store
         predictor_update = self.predictor.update
-        issue_cost = self._issue_cost
-        l1i_latency = self._l1i_latency
-        l1d_latency = self._l1d_latency
-        mlp = self._mlp
-        mispredict_penalty = self._mispredict_penalty
+        per_cycle, issue_ticks, load_ticks, store_ticks, mispredict_ticks = (
+            self.config.tick_table)
+        l1i_latency = hierarchy.l1i.latency
+        l1d_latency = hierarchy.l1d.latency
         last_fetch_block = self._last_fetch_block
         cycle = self.cycle
-        accumulator = self._cycle_accumulator
+        ticks = self.ticks
         instructions = stats.instructions
         n_loads = stats.loads
         n_stores = stats.stores
         n_branches = stats.branches
         mem_access_cycles = stats.mem_access_cycles
         mem_accesses = stats.mem_accesses
-        base_cycles = stats.base_cycles
-        fetch_stall_cycles = stats.fetch_stall_cycles
-        load_stall_cycles = stats.load_stall_cycles
-        store_stall_cycles = stats.store_stall_cycles
-        branch_stall_cycles = stats.branch_stall_cycles
+        fetch_stall = stats.fetch_stall_ticks
+        load_stall = stats.load_stall_ticks
+        store_stall = stats.store_stall_ticks
+        branch_stall = stats.branch_stall_ticks
         try:
             while True:
                 if cycle >= limit:
@@ -226,16 +218,16 @@ class Core:
                     for index in range(start, stop):
                         flag = flags[index]
                         pc = pcs[index]
-                        cost = issue_cost
-                        base_cycles += issue_cost
+                        cost = issue_ticks
                         fetch_block = pc >> 6
                         if fetch_block != last_fetch_block:
                             last_fetch_block = fetch_block
                             fetch_latency = fetch(pc, cycle)
                             if fetch_latency > l1i_latency:
-                                stall = fetch_latency - l1i_latency
+                                stall = ((fetch_latency - l1i_latency)
+                                         * per_cycle)
                                 cost += stall
-                                fetch_stall_cycles += stall
+                                fetch_stall += stall
                         if flag & FLAG_HAS_LOAD:
                             latency = load(pc, loads[index], cycle)
                             n_loads += 1
@@ -244,11 +236,11 @@ class Core:
                             beyond_l1 = latency - l1d_latency
                             if beyond_l1 > 0:
                                 if flag & FLAG_DEPENDENT:
-                                    stall = beyond_l1
+                                    stall = beyond_l1 * per_cycle
                                 else:
-                                    stall = beyond_l1 / mlp
+                                    stall = beyond_l1 * load_ticks
                                 cost += stall
-                                load_stall_cycles += stall
+                                load_stall += stall
                         if flag & FLAG_HAS_STORE:
                             latency = store(pc, stores[index], cycle)
                             n_stores += 1
@@ -256,27 +248,22 @@ class Core:
                             mem_access_cycles += latency
                             beyond_l1 = latency - l1d_latency
                             if beyond_l1 > 0:
-                                stall = beyond_l1 / STORE_OVERLAP
+                                stall = beyond_l1 * store_ticks
                                 cost += stall
-                                store_stall_cycles += stall
+                                store_stall += stall
                         if flag & FLAG_BRANCH:
                             n_branches += 1
                             if not predictor_update(
                                     pc, bool(flag & FLAG_TAKEN)):
-                                cost += mispredict_penalty
-                                branch_stall_cycles += mispredict_penalty
-                        instructions += 1
-                        accumulator += cost
-                        whole = int(accumulator)
-                        if whole:
-                            cycle += whole
-                            accumulator -= whole
-                            # Only here does the clock move, so only here
-                            # can it reach the limit.
-                            if cycle >= limit:
-                                break
+                                cost += mispredict_ticks
+                                branch_stall += mispredict_ticks
+                        ticks += cost
+                        cycle = ticks // per_cycle
+                        if cycle >= limit:
+                            break
                     index += 1
                     retired += index - start
+                    instructions += index - start
                     if retired == count or cycle >= limit:
                         break
                 self.cycle = cycle
@@ -284,15 +271,14 @@ class Core:
         finally:
             self.index = index
             self._last_fetch_block = last_fetch_block
-            self._cycle_accumulator = accumulator
+            self.ticks = ticks
             stats.instructions = instructions
             stats.loads = n_loads
             stats.stores = n_stores
             stats.branches = n_branches
             stats.mem_access_cycles = mem_access_cycles
             stats.mem_accesses = mem_accesses
-            stats.base_cycles = base_cycles
-            stats.fetch_stall_cycles = fetch_stall_cycles
-            stats.load_stall_cycles = load_stall_cycles
-            stats.store_stall_cycles = store_stall_cycles
-            stats.branch_stall_cycles = branch_stall_cycles
+            stats.fetch_stall_ticks = fetch_stall
+            stats.load_stall_ticks = load_stall
+            stats.store_stall_ticks = store_stall
+            stats.branch_stall_ticks = branch_stall

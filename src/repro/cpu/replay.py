@@ -7,9 +7,11 @@ once, ahead of time, into a stream (:class:`repro.sim.private.PrivateStream`).
 :class:`ReplayCore` is the other half: it walks the same trace, takes each
 access's latency from the level the stream says served it, sends the
 access's recorded LLC-side events through the core's
-:class:`~repro.cache.hierarchy.SharedPort` at the right cycles, and redoes
-:meth:`repro.cpu.core.Core.retire`'s cycle and statistics arithmetic in
-the same floating-point order. Results are bit-identical to the lockstep walk.
+:class:`~repro.cache.hierarchy.SharedPort` at the right cycles, and charges
+each instruction the same costs from the same integer tick table
+(:attr:`repro.config.CoreConfig.tick_table`) as
+:meth:`repro.cpu.core.Core.retire`. Ticks are exact, so results are
+bit-identical to the lockstep walk.
 
 Stream layout, per access (one list for fetches, one for loads and stores,
 in program order): ``code = level | events << 2``, where ``level`` is 0
@@ -26,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from repro.branch.base import BranchStats
-from repro.cpu.core import STORE_OVERLAP, CoreStats, PrivateCounters
+from repro.cpu.core import Core, CoreStats, PrivateCounters
 from repro.trace.packed import (
     FLAG_BRANCH,
     FLAG_DEPENDENT,
@@ -79,9 +81,9 @@ class ReplayCore:
     Stands in for :class:`~repro.cpu.core.Core` in a session: the same
     ``cycle``/``stats`` surface and the same :meth:`run` and
     :meth:`retire` contract, over the stream's own trace. Within an open
-    loop only ``cycle`` is current; ``index``, ``position``, the stream
-    cursors, the statistics and ``stream.reached`` are current once the
-    loop closes. Running past the stream's end grows the stream.
+    loop only ``cycle`` is current; ``index``, ``position``, ``ticks``,
+    the stream cursors, the statistics and ``stream.reached`` are current
+    once the loop closes. Running past the stream's end grows the stream.
     """
 
     def __init__(self, machine, port, stream) -> None:
@@ -89,14 +91,11 @@ class ReplayCore:
         self.config = config
         self.hierarchy = port
         self.stream = stream
-        self.stats = CoreStats()
+        self.stats = CoreStats(config.tick_table)
         self.cycle = 0
+        self.ticks = 0
         self.position = 0  # instructions replayed
-        self._issue_cost = 1.0 / config.issue_width
-        self._cycle_accumulator = 0.0
         self._last_fetch_block = -1
-        self._mlp = config.mlp
-        self._mispredict_penalty = config.mispredict_penalty
         l1i, l1d, l2 = (machine.l1i.latency, machine.l1d.latency,
                         machine.l2.latency)
         # The lockstep walk's sums: l1, l1 + l2, (l1 + l2) + llc (+ DRAM).
@@ -109,31 +108,19 @@ class ReplayCore:
         #: The fetch/data/branch cursors at the warm-up reset.
         self._warm: Tuple[int, int, int] = (0, 0, 0)
 
-    def run(self, count: int, limit=_NO_LIMIT) -> int:
-        """Retire up to ``count`` instructions, stopping early after one
-        that leaves the clock at or past ``limit``; returns how many.
-
-        :meth:`repro.cpu.core.Core.run`'s contract, over the stream's
-        trace: one step of :meth:`retire`, opened and closed for the call.
-        """
-        if count <= 0:
-            return 0
-        loop = self.retire(count, limit)
-        retired = next(loop)
-        loop.close()
-        return retired
+    #: :meth:`repro.cpu.core.Core.run`'s contract, over the stream's trace.
+    run = Core.run
 
     def retire(self, count: int, limit=_NO_LIMIT):
         """The replay loop, as a generator of steps:
         :meth:`repro.cpu.core.Core.retire`'s contract.
 
         Only the clock is current at every yield; the cursors, position,
-        statistics and ``stream.reached`` are written back when the loop
-        closes. Running past the stream's end grows the stream.
+        ticks, statistics and ``stream.reached`` are written back when the
+        loop closes. Running past the stream's end grows the stream.
         """
         # Core.retire with each hierarchy call replaced by its recorded
-        # level and events; every float operation is the same, in the same
-        # order, so cycles and statistics are bit-identical.
+        # level and events.
         stream = self.stream
         length = stream.length
         fetch_codes = stream.fetches.codes
@@ -149,9 +136,8 @@ class ReplayCore:
         data_llc = data_latency[2]
         l1i_latency = fetch_latency[0]
         l1d_latency = data_latency[0]
-        issue_cost = self._issue_cost
-        mlp = self._mlp
-        mispredict_penalty = self._mispredict_penalty
+        per_cycle, issue_ticks, load_ticks, store_ticks, mispredict_ticks = (
+            self.config.tick_table)
         position = self.position
         index = self.index
         fetched = self._fetches
@@ -159,7 +145,7 @@ class ReplayCore:
         branched = self._branches
         last_fetch_block = self._last_fetch_block
         cycle = self.cycle
-        accumulator = self._cycle_accumulator
+        ticks = self.ticks
         stats = self.stats
         instructions = stats.instructions
         n_loads = stats.loads
@@ -167,11 +153,10 @@ class ReplayCore:
         n_branches = stats.branches
         mem_access_cycles = stats.mem_access_cycles
         mem_accesses = stats.mem_accesses
-        base_cycles = stats.base_cycles
-        fetch_stall_cycles = stats.fetch_stall_cycles
-        load_stall_cycles = stats.load_stall_cycles
-        store_stall_cycles = stats.store_stall_cycles
-        branch_stall_cycles = stats.branch_stall_cycles
+        fetch_stall = stats.fetch_stall_ticks
+        load_stall = stats.load_stall_ticks
+        store_stall = stats.store_stall_ticks
+        branch_stall = stats.branch_stall_ticks
         try:
             while True:
                 done = 0
@@ -191,8 +176,7 @@ class ReplayCore:
                         index += 1
                         if index == n_records:
                             index = 0
-                        cost = issue_cost
-                        base_cycles += issue_cost
+                        cost = issue_ticks
                         fetch_block = pc >> 6
                         if fetch_block != last_fetch_block:
                             last_fetch_block = fetch_block
@@ -202,9 +186,9 @@ class ReplayCore:
                             if code > 3:
                                 latency += shared(code >> 2, cycle, fetch_llc)
                             if latency > l1i_latency:
-                                stall = latency - l1i_latency
+                                stall = (latency - l1i_latency) * per_cycle
                                 cost += stall
-                                fetch_stall_cycles += stall
+                                fetch_stall += stall
                         if flag & FLAG_HAS_LOAD:
                             code = data_codes[data]
                             data += 1
@@ -217,11 +201,11 @@ class ReplayCore:
                             beyond_l1 = latency - l1d_latency
                             if beyond_l1 > 0:
                                 if flag & FLAG_DEPENDENT:
-                                    stall = beyond_l1
+                                    stall = beyond_l1 * per_cycle
                                 else:
-                                    stall = beyond_l1 / mlp
+                                    stall = beyond_l1 * load_ticks
                                 cost += stall
-                                load_stall_cycles += stall
+                                load_stall += stall
                         if flag & FLAG_HAS_STORE:
                             code = data_codes[data]
                             data += 1
@@ -233,25 +217,22 @@ class ReplayCore:
                             mem_access_cycles += latency
                             beyond_l1 = latency - l1d_latency
                             if beyond_l1 > 0:
-                                stall = beyond_l1 / STORE_OVERLAP
+                                stall = beyond_l1 * store_ticks
                                 cost += stall
-                                store_stall_cycles += stall
+                                store_stall += stall
                         if flag & FLAG_BRANCH:
                             n_branches += 1
                             if mispredicts[branched]:
-                                cost += mispredict_penalty
-                                branch_stall_cycles += mispredict_penalty
+                                cost += mispredict_ticks
+                                branch_stall += mispredict_ticks
                             branched += 1
-                        instructions += 1
-                        accumulator += cost
-                        whole = int(accumulator)
-                        if whole:
-                            cycle += whole
-                            accumulator -= whole
+                        ticks += cost
+                        cycle = ticks // per_cycle
                         done += 1
                         if cycle >= limit:
                             break
                     position += done - start
+                    instructions += done - start
                     if cycle >= limit:
                         break
                 self.cycle = cycle
@@ -264,18 +245,17 @@ class ReplayCore:
             self._data = data
             self._branches = branched
             self._last_fetch_block = last_fetch_block
-            self._cycle_accumulator = accumulator
+            self.ticks = ticks
             stats.instructions = instructions
             stats.loads = n_loads
             stats.stores = n_stores
             stats.branches = n_branches
             stats.mem_access_cycles = mem_access_cycles
             stats.mem_accesses = mem_accesses
-            stats.base_cycles = base_cycles
-            stats.fetch_stall_cycles = fetch_stall_cycles
-            stats.load_stall_cycles = load_stall_cycles
-            stats.store_stall_cycles = store_stall_cycles
-            stats.branch_stall_cycles = branch_stall_cycles
+            stats.fetch_stall_ticks = fetch_stall
+            stats.load_stall_ticks = load_stall
+            stats.store_stall_ticks = store_stall
+            stats.branch_stall_ticks = branch_stall
 
     def _shared(self, count: int, cycle: int, fixed: int) -> int:
         """Send one access's ``count`` events through the shared stage.
@@ -320,7 +300,7 @@ class ReplayCore:
     def reset_stats(self) -> None:
         """Warm-up boundary: clear retirement statistics and start the
         private counters from the stream's current cursors."""
-        self.stats = CoreStats()
+        self.stats = CoreStats(self.config.tick_table)
         self._warm = (self._fetches, self._data, self._branches)
 
     def private_counters(self) -> PrivateCounters:

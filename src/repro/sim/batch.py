@@ -18,11 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig
 from repro.core import PinteConfig
-from repro.sim.multicore import simulate_multiprogrammed, simulate_pair
+from repro.sim.multicore import _simulate
 from repro.sim.private import PrivateStreamMemo, private_key, replays
 from repro.sim.results import SimulationResult
 from repro.sim.runner import ExperimentScale
-from repro.sim.simulator import simulate
 from repro.trace.store import trace_memo
 
 
@@ -168,50 +167,27 @@ def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
                                        scale.seed + core_id, budget)
                    for core_id, (key, trace) in enumerate(zip(keys, traces))]
         built = [stream.seconds for stream in streams]
-    trace = traces[0]
     pinte_seed = (job.pinte_seed if job.pinte_seed is not None
                   else scale.seed)
     # p_induce on a pair/multi job layers induced contention on top of the
     # real co-runners — the hybrid context.
-    hybrid_pinte = (PinteConfig(job.p_induce, seed=pinte_seed)
-                    if job.mode in ("pair", "multi")
-                    and job.p_induce is not None else None)
-    if job.mode == "pair":
-        result = simulate_pair(trace, traces[1], config,
-                               warmup_instructions=scale.warmup_instructions,
-                               sim_instructions=scale.sim_instructions,
-                               sample_interval=scale.sample_interval,
-                               seed=scale.seed, pinte=hybrid_pinte,
-                               observe=observe, private_streams=streams)
-    elif job.mode == "multi":
-        partitioner = _job_partitioner(job, config)
-        results = simulate_multiprogrammed(
-            traces, config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval, seed=scale.seed,
-            partitioner=partitioner,
-            repartition_interval=(job.repartition_interval
-                                  if job.repartition_interval is not None
-                                  else 5_000),
-            pinte=hybrid_pinte,
-            observe=observe,
-            private_streams=streams,
-        )
-        result = results[0]
+    pinte = (PinteConfig(job.p_induce, seed=pinte_seed)
+             if job.mode != "isolation" and job.p_induce is not None
+             else None)
+    partitioner = (_job_partitioner(job, config) if job.mode == "multi"
+                   else None)
+    results = _simulate(
+        traces, [trace.name for trace in traces], config, pinte,
+        scale.warmup_instructions, scale.sim_instructions,
+        scale.sample_interval, scale.seed, observe, partitioner,
+        (job.repartition_interval if job.repartition_interval is not None
+         else 5_000), streams)
+    result = results[0]
+    if job.mode == "multi":
         result.co_results = results[1:]
         if partitioner is not None:
             for owner, ways in partitioner.allocate().items():
                 result.extra[f"partition_quota_{owner}"] = float(ways)
-    else:
-        pinte = (PinteConfig(job.p_induce, seed=pinte_seed)
-                 if job.mode == "pinte" else None)
-        result = simulate(trace, config, pinte=pinte,
-                          warmup_instructions=scale.warmup_instructions,
-                          sim_instructions=scale.sim_instructions,
-                          sample_interval=scale.sample_interval,
-                          seed=scale.seed, observe=observe,
-                          private_streams=streams)
     result.extra["phase_trace_gen_seconds"] = trace_seconds
     if streams is not None:
         # Paid: what this job's builds took. Reused: what the prefix it

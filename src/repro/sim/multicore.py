@@ -21,7 +21,9 @@ The engine attaches to the primary core's hierarchy exactly as in the
 single-core PInTE context; periodic and background-DRAM hooks tick on the
 shared (primary) clock.
 
-This host is a thin composition over :mod:`repro.sim.session`:
+Every timing host is :func:`_simulate` (one trace is
+:func:`repro.sim.simulator.simulate`; campaign jobs call it directly), a
+thin composition over :mod:`repro.sim.session`:
 :class:`~repro.sim.session.CoreStepper` owns the furthest-behind schedule,
 one ``run(count, limit)`` call per scheduling batch, with the hooks'
 thresholds folded into the primary's limit, and
@@ -92,6 +94,20 @@ def simulate_multiprogrammed(
     """
     if len(traces) < 2:
         raise ValueError("multi-programmed simulation needs at least 2 traces")
+    return _simulate(traces, [trace.name for trace in traces], config, pinte,
+                     warmup_instructions, sim_instructions, sample_interval,
+                     seed, observe, partitioner, repartition_interval,
+                     private_streams)
+
+
+def _simulate(traces: List[PackedTrace], names: List[str],
+              config: MachineConfig, pinte, warmup_instructions: int,
+              sim_instructions: Optional[int], sample_interval: int,
+              seed: int, observe: Optional[Observation], partitioner,
+              repartition_interval: int,
+              private_streams: Optional[list]) -> List[SimulationResult]:
+    """Every timing host: one core per trace, one result per core, primary
+    first. One trace is the single-core host, more the 2nd-Trace one."""
     n_cores = len(traces)
     streams = ([stream.packed for stream in private_streams]
                if private_streams is not None else
@@ -99,9 +115,9 @@ def simulate_multiprogrammed(
                 for core_id, trace in enumerate(traces)])
     # Empty streams are rejected before any resource assembly, so a bad mix
     # cannot leave a half-built session.
-    for trace, stream in zip(traces, streams):
+    for name, stream in zip(names, streams):
         if not len(stream):
-            raise ValueError(f"trace {trace.name!r} is empty")
+            raise ValueError(f"trace {name!r} is empty")
 
     builder = (SessionBuilder(config, seed=seed).with_pinte(pinte)
                .with_private_streams(private_streams))
@@ -115,24 +131,22 @@ def simulate_multiprogrammed(
                     warmup=warmup_instructions, total=total,
                     sample_interval=sample_interval)
 
-    empty_samplers = [
+    samplers = [outcome.sampler] + [
         IntervalSampler(session.cores[core_id], session.llc, core_id,
                         session.tracker, sample_interval)
         for core_id in range(1, n_cores)
     ]
-    mode = "hybrid" if pinte is not None else "2nd-trace"
+    if n_cores == 1:
+        mode = "pinte" if pinte is not None else "isolation"
+    else:
+        mode = "hybrid" if pinte is not None else "2nd-trace"
     p_induce = pinte.p_induce if pinte is not None else None
+    co_runners = ["+".join(names[1:]) or None] + names[:1] * (n_cores - 1)
     results = [finalise_result(
-        session.cores[0], session.tracker, 0, outcome.start_cycles[0],
-        outcome.sampler, traces[0].name, mode, session.wall_start, p_induce,
-        "+".join(t.name for t in traces[1:]), seed)]
-    for core_id in range(1, n_cores):
-        results.append(finalise_result(
-            session.cores[core_id], session.tracker, core_id,
-            outcome.start_cycles[core_id], empty_samplers[core_id - 1],
-            traces[core_id].name, mode, session.wall_start, p_induce,
-            traces[0].name, seed,
-        ))
+        session.cores[core_id], session.tracker, core_id,
+        outcome.start_cycles[core_id], samplers[core_id], names[core_id],
+        mode, session.wall_start, p_induce, co_runners[core_id], seed)
+        for core_id in range(n_cores)]
     finish(session, outcome, results)
     return results
 

@@ -11,15 +11,17 @@ the private-side config and the policy seed — not of the LLC, PInTE, the
 co-runners or the timing. The timing hosts' demand walk splits on that
 line:
 
-* the **private stage**, :class:`PrivateStream`, is the lockstep walk
-  itself (:meth:`~repro.cpu.core.Core.run` over a
-  :class:`~repro.cache.hierarchy.MemoryHierarchy`) with the shared stage
-  swapped for a recorder: per access it keeps the level that served it,
-  per branch whether it was mispredicted, and every LLC-side event (demand
-  read, dirty L2 write-back, prefetch probe) with its cycle offset;
+* the **private stage**, :class:`PrivateStream`, walks the trace columns
+  as the lockstep core does (the same fetch blocks, loads, stores and
+  branches, wrapping at the trace's end) through a
+  :class:`~repro.cache.hierarchy.MemoryHierarchy` whose shared stage is a
+  recorder: per access it keeps the level that served it, per branch
+  whether it was mispredicted, and every LLC-side event (demand read,
+  dirty L2 write-back, prefetch probe) with its cycle offset. It keeps no
+  clock;
 * the **shared stage**, :class:`~repro.cpu.replay.ReplayCore`, replays a
   stream through the LLC, PInTE, the tracker, the partitioner and DRAM,
-  redoing the core's arithmetic in the same floating-point order.
+  charging the core's costs from the same integer tick table.
 
 :class:`PrivateStreamMemo` keeps streams for the life of one
 :func:`~repro.campaign.run_campaign` or
@@ -37,9 +39,9 @@ from collections import Counter
 from types import SimpleNamespace
 from typing import Dict, Hashable, Iterable, Tuple
 
+from repro.branch import make_predictor
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import MachineConfig
-from repro.cpu import Core
 from repro.cpu.replay import (
     EVENT_DEMAND,
     EVENT_POST,
@@ -47,6 +49,12 @@ from repro.cpu.replay import (
     EVENT_WRITEBACK,
 )
 from repro.sim.session import core_stream
+from repro.trace.packed import (
+    FLAG_BRANCH,
+    FLAG_HAS_LOAD,
+    FLAG_HAS_STORE,
+    FLAG_TAKEN,
+)
 
 __all__ = [
     "PrivateStream",
@@ -118,27 +126,9 @@ class _Recorder(MemoryHierarchy):
                          tracker=_DETACHED, seed=seed)
         self.stream = stream
         self._after_demand = False
-        self._mask = ~(config.block_size - 1)
         self._prefetchers = [prefetcher for prefetcher in (
             self.l1i_prefetcher, self.l1d_prefetcher, self.l2_prefetcher)
             if prefetcher is not None]
-
-    # The core's arithmetic in this stage is never read, so accesses
-    # report no latency.
-    def fetch(self, pc: int, cycle: int) -> int:
-        self._access(self.stream.fetches, self.l1i, self.l1i_prefetcher,
-                     pc, pc & self._mask, False)
-        return 0
-
-    def load(self, pc: int, address: int, cycle: int) -> int:
-        self._access(self.stream.datas, self.l1d, self.l1d_prefetcher,
-                     pc, address & self._mask, False)
-        return 0
-
-    def store(self, pc: int, address: int, cycle: int) -> int:
-        self._access(self.stream.datas, self.l1d, self.l1d_prefetcher,
-                     pc, address & self._mask, True)
-        return 0
 
     def _access(self, log: _AccessLog, l1, prefetcher, pc: int, block: int,
                 is_write: bool) -> None:
@@ -180,20 +170,6 @@ class _Recorder(MemoryHierarchy):
 
     def llc_prefetch(self, block: int, cycle: int) -> None:
         self._event(block, cycle, EVENT_PREFETCH)
-
-
-class _PredictorRecorder:
-    """The core's branch predictor, noting each misprediction."""
-
-    def __init__(self, predictor, mispredicts: bytearray) -> None:
-        self.predictor = predictor
-        self.stats = predictor.stats
-        self._mispredicts = mispredicts
-
-    def update(self, pc: int, taken: bool) -> bool:
-        correct = self.predictor.update(pc, taken)
-        self._mispredicts.append(not correct)
-        return correct
 
 
 class PrivateStream:
@@ -239,27 +215,61 @@ class PrivateStream:
         self.ev_blocks = array("q")
         self.ev_info = array("i")
         self.length = 0
-        stage = _Recorder(config, self._core_id, seed, self)
-        core = Core(config.core, stage, self.packed)
-        core.predictor = _PredictorRecorder(core.predictor, self.mispredicts)
-        self._core = core
+        self._stage = _Recorder(config, self._core_id, seed, self)
+        self._predictor = make_predictor(config.core.branch_predictor)
+        self._index = 0  # the trace row the next instruction is read from
+        self._last_fetch_block = -1
 
     def grow(self, minimum: int) -> None:
         """Run the private stage over at least ``minimum`` more
         instructions, and at least up to the stream's target."""
         start = time.monotonic()
         count = max(minimum, self.target - self.length)
-        if self._core is None:
+        if self._stage is None:
             # Re-recording the same prefix leaves every cursor valid.
             count += self.length
             self._start()
             self._costs = [(0, 0.0)]
-        self._core.run(count)
+        self._walk(count)
         self.length += count
         if self._core_id == 0 and self.length >= self.target:
-            self._core = None
+            self._stage = self._predictor = None
         self.seconds += time.monotonic() - start
         self._costs.append((self.length, self.seconds))
+
+    def _walk(self, count: int) -> None:
+        """Record the private stage of the next ``count`` instructions:
+        the lockstep core's accesses, in its order, with no clock."""
+        packed = self.packed
+        flags = packed.flags
+        n_records = len(flags)
+        stage = self._stage
+        access = stage._access
+        fetch = (self.fetches, stage.l1i, stage.l1i_prefetcher)
+        data = (self.datas, stage.l1d, stage.l1d_prefetcher)
+        mask = ~(self._config.block_size - 1)
+        predictor_update = self._predictor.update
+        mispredict = self.mispredicts.append
+        index = self._index
+        last_fetch_block = self._last_fetch_block
+        for _ in range(count):
+            if index == n_records:
+                index = 0
+            flag = flags[index]
+            pc = packed.pcs[index]
+            # The lockstep core's fetch-block test.
+            if pc >> 6 != last_fetch_block:
+                last_fetch_block = pc >> 6
+                access(*fetch, pc, pc & mask, False)
+            if flag & FLAG_HAS_LOAD:
+                access(*data, pc, packed.loads[index] & mask, False)
+            if flag & FLAG_HAS_STORE:
+                access(*data, pc, packed.stores[index] & mask, True)
+            if flag & FLAG_BRANCH:
+                mispredict(not predictor_update(pc, bool(flag & FLAG_TAKEN)))
+            index += 1
+        self._index = index
+        self._last_fetch_block = last_fetch_block
 
     def cost_of(self, instructions: int) -> float:
         """Build seconds of the stream's first ``instructions`` (linear

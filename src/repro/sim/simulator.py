@@ -6,12 +6,13 @@ With ``pinte=None`` it produces the paper's *Isolation* context; with a
 context. The 2nd-Trace and hybrid contexts live in
 :mod:`repro.sim.multicore`.
 
-This host is a thin composition over :mod:`repro.sim.session`: a
-:class:`~repro.sim.session.SessionBuilder` assembles the machine, a
-:class:`~repro.sim.session.CoreStepper` schedules its one core (the
-degenerate furthest-behind schedule, with the live-clock hooks as clock
-limits), and :func:`~repro.sim.session.drive` owns the warm-up ->
-stats-reset -> measured-region -> sampling cadence shared by every host.
+This host is the one-core case of the timing-host composition in
+:mod:`repro.sim.multicore`: a :class:`~repro.sim.session.SessionBuilder`
+assembles the machine, a :class:`~repro.sim.session.CoreStepper` schedules
+its one core (the degenerate furthest-behind schedule, with the live-clock
+hooks as clock limits), and :func:`~repro.sim.session.drive` owns the
+warm-up -> stats-reset -> measured-region -> sampling cadence shared by
+every host.
 """
 
 from __future__ import annotations
@@ -21,15 +22,9 @@ from typing import Optional
 from repro.config import MachineConfig
 from repro.core import PinteConfig
 from repro.obs import Observation
+from repro.sim.multicore import _simulate
 from repro.sim.results import SimulationResult
-from repro.sim.session import (
-    DEFAULT_SAMPLE_INTERVAL,
-    CoreStepper,
-    SessionBuilder,
-    drive,
-    finalise_result,
-    finish,
-)
+from repro.sim.session import DEFAULT_SAMPLE_INTERVAL
 from repro.trace.packed import as_packed
 
 __all__ = ["DEFAULT_SAMPLE_INTERVAL", "simulate"]
@@ -78,25 +73,7 @@ def simulate(
     """
     packed = as_packed(trace)
     trace_name = getattr(trace, "name", "") or packed.name or "trace"
-    n_records = len(packed)
-    total = (sim_instructions if sim_instructions is not None else
-             max(0, n_records - warmup_instructions))
-    if n_records == 0:
-        raise ValueError(f"trace {trace_name!r} is empty")
-
-    builder = (SessionBuilder(config, seed=seed).with_pinte(pinte)
-               .with_private_streams(private_streams))
-    if partitioner is not None:
-        builder.with_partitioner(partitioner, repartition_interval)
-    session = builder.with_observation(observe).build_timing([packed])
-    outcome = drive(session, CoreStepper(session),
-                    warmup=warmup_instructions, total=total,
-                    sample_interval=sample_interval)
-
-    mode = "pinte" if pinte is not None else "isolation"
-    result = finalise_result(
-        session.cores[0], session.tracker, 0, outcome.start_cycles[0],
-        outcome.sampler, trace_name, mode, session.wall_start,
-        pinte.p_induce if pinte else None, None, seed)
-    finish(session, outcome, [result])
-    return result
+    return _simulate([packed], [trace_name], config, pinte,
+                     warmup_instructions, sim_instructions, sample_interval,
+                     seed, observe, partitioner, repartition_interval,
+                     private_streams)[0]

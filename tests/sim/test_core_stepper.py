@@ -104,10 +104,10 @@ def _session(kind, n_cores, hooks, traced, targets):
 
 
 def _state(session):
-    """Every core's clock, accumulator, cursor, statistics and stream
+    """Every core's clock, ticks, cursor, statistics and stream
     reach; the tracker's counters; the hooks' and event trace's counts."""
     cores = tuple(
-        (core.cycle, core._cycle_accumulator, core.index,
+        (core.cycle, core.ticks, core.index,
          tuple(getattr(core.stats, name)
                for name in type(core.stats).__slots__),
          getattr(getattr(core, "stream", None), "reached", None))

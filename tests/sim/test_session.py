@@ -40,9 +40,9 @@ def _core(kind, workload="470.lbm", pinte=None):
 
 
 def _state(core):
-    """Clock, accumulator, cursor and every CoreStats slot."""
+    """Clock, ticks, cursor and every CoreStats slot."""
     stats = core.stats
-    return (core.cycle, core._cycle_accumulator, core.index,
+    return (core.cycle, core.ticks, core.index,
             tuple(getattr(stats, name) for name in type(stats).__slots__))
 
 

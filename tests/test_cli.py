@@ -197,6 +197,35 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "sensitivity: HIGH" in out
 
+    def test_table_matches_lockstep_simulate(self, capsys):
+        """The replayed campaign prints what one lockstep ``simulate()``
+        per point prints."""
+        from repro.cli import _sweep_report
+        from repro.config import scaled_config
+        from repro.core import PinteConfig
+        from repro.sim import simulate
+        from repro.trace import build_trace, get_workload
+
+        workloads, p_values = ("470.lbm", "453.povray"), (0.1, 0.5, 1.0)
+        assert main(["sweep", *workloads, "--p-induce",
+                     *map(str, p_values), "--instructions", "2000",
+                     "--warmup", "500", "--seed", "2"]) == 0
+        config = scaled_config()
+        expected = ""
+        for name in workloads:
+            trace = build_trace(get_workload(name), 2500, 2, config.llc.size)
+
+            def run(pinte=None):
+                return simulate(trace, config, pinte=pinte,
+                                warmup_instructions=500,
+                                sim_instructions=2000, sample_interval=200,
+                                seed=2)
+
+            expected += _sweep_report(
+                name, run(), [run(PinteConfig(p, seed=2))
+                              for p in p_values]) + "\n"
+        assert capsys.readouterr().out == expected
+
 
 class TestCharacterize:
     def test_runs(self, capsys):
