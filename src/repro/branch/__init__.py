@@ -1,6 +1,11 @@
 """Branch prediction substrate (paper Section III-C d)."""
 
-from repro.branch.base import AlwaysTakenPredictor, BranchPredictor, BranchStats
+from repro.branch.base import (
+    AlwaysTakenPredictor,
+    BranchPredictor,
+    BranchStats,
+    predictor_state,
+)
 from repro.branch.bimodal import BimodalPredictor
 from repro.branch.gshare import GSharePredictor
 from repro.branch.hashed_perceptron import HashedPerceptronPredictor
@@ -35,4 +40,5 @@ __all__ = [
     "PerceptronPredictor",
     "TournamentPredictor",
     "make_predictor",
+    "predictor_state",
 ]

@@ -8,6 +8,8 @@ misprediction. The four concrete predictors match the paper's case-study set
 
 from __future__ import annotations
 
+from itertools import chain
+
 
 class BranchStats:
     """Prediction accuracy counters."""
@@ -62,6 +64,49 @@ class BranchPredictor:
 
     def _train(self, pc: int, taken: bool) -> None:
         raise NotImplementedError
+
+
+#: Leaf values a predictor's state is made of.
+_SCALARS = {int, float, bool, str, type(None)}
+
+
+def predictor_state(predictor: BranchPredictor) -> tuple:
+    """A deep value copy of everything ``predictor`` predicts and trains
+    from, its statistics left out.
+
+    Two snapshots are equal exactly when the two states are: tables and
+    histories are copied by value, so later updates never reach a
+    snapshot, and a component predictor (a tournament's bimodal and gshare)
+    is snapshotted in turn rather than compared by identity. State of any
+    other type makes the snapshot equal to no other.
+    """
+    if any(vars(cls).get("__slots__") for cls in type(predictor).__mro__):
+        return (type(predictor), object())  # slots: state this cannot see
+    return (type(predictor), tuple(
+        (name, _state_value(value))
+        for name, value in sorted(vars(predictor).items())
+        if name != "stats"))
+
+
+def _state_value(value):
+    if isinstance(value, BranchPredictor):
+        return predictor_state(value)
+    if isinstance(value, (list, tuple)):
+        types = set(map(type, value))
+        if types <= _SCALARS:
+            return tuple(value)
+        if types == {list}:
+            # A table of rows (the perceptron's weights): copied row by row
+            # in C when every row holds only scalars.
+            rows = tuple(map(tuple, value))
+            if set(map(type, chain.from_iterable(rows))) <= _SCALARS:
+                return rows
+        return tuple(map(_state_value, value))
+    if type(value) in _SCALARS:
+        return value
+    # A value this cannot copy: equal to no other snapshot, so such a
+    # predictor's state never looks repeated.
+    return object()
 
 
 class AlwaysTakenPredictor(BranchPredictor):

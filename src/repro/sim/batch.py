@@ -69,6 +69,10 @@ class Job:
             raise ValueError("pair jobs need a co_runner")
         if self.mode == "multi" and not self.co_runners:
             raise ValueError("multi jobs need co_runners")
+        if (self.repartition_interval is not None
+                and self.repartition_interval < 1):
+            raise ValueError(f"repartition_interval must be at least 1, "
+                             f"got {self.repartition_interval}")
         if self.co_runners is not None and not isinstance(self.co_runners,
                                                           tuple):
             # JSON round-trips hand back lists; keep the job hashable.

@@ -18,7 +18,9 @@ line:
   recorder: per access it keeps the level that served it, per branch
   whether it was mispredicted, and every LLC-side event (demand read,
   dirty L2 write-back, prefetch probe) with its cycle offset. It keeps no
-  clock;
+  clock. A stream that wraps its trace (a co-runner, ChampSim-style)
+  copies the columns of its last lap once its private state repeats at a
+  lap start, since from then on every lap records the same;
 * the **shared stage**, :class:`~repro.cpu.replay.ReplayCore`, replays a
   stream through the LLC, PInTE, the tracker, the partitioner and DRAM,
   charging the core's costs from the same integer tick table.
@@ -39,7 +41,8 @@ from collections import Counter
 from types import SimpleNamespace
 from typing import Dict, Hashable, Iterable, Tuple
 
-from repro.branch import make_predictor
+from repro.branch import make_predictor, predictor_state
+from repro.cache.cache import LruLevel
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import MachineConfig
 from repro.cpu.replay import (
@@ -172,6 +175,58 @@ class _Recorder(MemoryHierarchy):
         self._event(block, cycle, EVENT_PREFETCH)
 
 
+class _Lap:
+    """The lap a periodic stream copies: where it sits in each column,
+    and per trace row the offsets into it at that row's start."""
+
+    __slots__ = ("fetch", "data", "event", "fetch_at", "data_at",
+                 "event_at", "branch_at", "branches", "mispredict")
+
+    def __init__(self, stream: "PrivateStream",
+                 mark: Tuple[int, int, int, int]) -> None:
+        self.fetch, self.data, _, self.event = mark
+        packed = stream.packed
+        fetch_codes = stream.fetches.codes
+        data_codes = stream.datas.codes
+        fetches = accesses = events = 0
+        self.fetch_at = fetch_at = array("q", [0])
+        self.data_at = data_at = array("q", [0])
+        self.event_at = event_at = array("q", [0])
+        self.branch_at = branch_at = array("q", [0])
+        #: Each branch row's (pc, taken), in lap order.
+        self.branches = branches = []
+        # The walk's fetch-block test, from the lap start's fetch block.
+        last_fetch_block = stream._last_fetch_block
+        for pc, flag in zip(packed.pcs, packed.flags):
+            if pc >> 6 != last_fetch_block:
+                last_fetch_block = pc >> 6
+                events += fetch_codes[self.fetch + fetches] >> 2
+                fetches += 1
+            if flag & FLAG_HAS_LOAD:
+                events += data_codes[self.data + accesses] >> 2
+                accesses += 1
+            if flag & FLAG_HAS_STORE:
+                events += data_codes[self.data + accesses] >> 2
+                accesses += 1
+            if flag & FLAG_BRANCH:
+                branches.append((pc, bool(flag & FLAG_TAKEN)))
+            fetch_at.append(fetches)
+            data_at.append(accesses)
+            event_at.append(events)
+            branch_at.append(len(branches))
+        #: Where the copied mispredict lap starts, once the predictor's
+        #: state repeats too; until then the predictor walks the branches.
+        self.mispredict = None
+
+
+def _copyable(stage: _Recorder) -> bool:
+    """Whether a lap-start snapshot covers all of ``stage``'s private
+    state: LRU levels and no prefetcher."""
+    return not stage._prefetchers and all(
+        isinstance(level, LruLevel)
+        for level in (stage.l1i, stage.l1d, stage.l2))
+
+
 class PrivateStream:
     """The recorded private stage of one core slot over one trace.
 
@@ -186,6 +241,23 @@ class PrivateStream:
     ``seconds`` is the wall time spent building, read off
     ``time.monotonic`` so that a build leaves the ``perf_counter``
     readings a job takes for its own timing untouched.
+
+    A stream that wraps its trace copies instead of walking once its state
+    repeats. The walk is deterministic and reads the same rows every lap,
+    so when the private state at a lap's start equals the state at the
+    previous lap's start, every later lap records exactly what that lap
+    did. At each wrap the stream compares a value snapshot of its caches
+    (each LRU level's ordered sets with their flags, and the fetch block)
+    with the previous wrap's; once they match, later laps copy that lap's
+    access codes and events, cut at any row, and walk only the predictor
+    over the lap's branches. The predictor's state (a deep value copy,
+    :func:`~repro.branch.predictor_state`) repeats much later, if ever; it
+    is snapshotted only at wraps where the last two laps mispredicted
+    alike, and once it matches the mispredicts are copied too. Snapshots
+    are dropped once their period is found. Copying needs snapshots that
+    cover all private state, so a stream with a prefetcher or a non-LRU
+    private level always walks. Either way every column, and ``length``,
+    equal a plain walk's.
     """
 
     def __init__(self, config: MachineConfig, trace, core_id: int,
@@ -217,8 +289,18 @@ class PrivateStream:
         self.length = 0
         self._stage = _Recorder(config, self._core_id, seed, self)
         self._predictor = make_predictor(config.core.branch_predictor)
-        self._index = 0  # the trace row the next instruction is read from
+        #: The trace row the next instruction is read from; the trace's
+        #: length at a lap's end.
+        self._index = 0
         self._last_fetch_block = -1
+        self._copyable = _copyable(self._stage)
+        #: The last three lap starts' column lengths (fetch codes, data
+        #: codes, mispredicts, events), latest last.
+        self._marks = [(0, 0, 0, 0)]
+        #: The previous lap start's cache and predictor snapshots.
+        self._cache_state = self._predictor_state = None
+        #: The lap later laps copy, once the cache state repeats.
+        self._lap = None
 
     def grow(self, minimum: int) -> None:
         """Run the private stage over at least ``minimum`` more
@@ -230,19 +312,37 @@ class PrivateStream:
             count += self.length
             self._start()
             self._costs = [(0, 0.0)]
-        self._walk(count)
+        self._record(count)
         self.length += count
         if self._core_id == 0 and self.length >= self.target:
             self._stage = self._predictor = None
         self.seconds += time.monotonic() - start
         self._costs.append((self.length, self.seconds))
 
-    def _walk(self, count: int) -> None:
-        """Record the private stage of the next ``count`` instructions:
-        the lockstep core's accesses, in its order, with no clock."""
+    def _record(self, count: int) -> None:
+        """Record the next ``count`` instructions, one lap at a time:
+        walked until the cache state repeats, copied after."""
+        n_records = len(self.packed)
+        while count:
+            if self._index == n_records:
+                # The next lap starts; a stream that stops at a lap's end
+                # (a primary whose budget is its trace) never gets here.
+                self._index = 0
+                if self._copyable:
+                    self._wrap()
+            row = self._index
+            self._index = end = min(n_records, row + count)
+            if self._lap is None:
+                self._walk(row, end)
+            else:
+                self._copy(row, end)
+            count -= end - row
+
+    def _walk(self, start: int, end: int) -> None:
+        """Record the private stage of trace rows ``[start, end)``: the
+        lockstep core's accesses, in its order, with no clock."""
         packed = self.packed
         flags = packed.flags
-        n_records = len(flags)
         stage = self._stage
         access = stage._access
         fetch = (self.fetches, stage.l1i, stage.l1i_prefetcher)
@@ -250,11 +350,8 @@ class PrivateStream:
         mask = ~(self._config.block_size - 1)
         predictor_update = self._predictor.update
         mispredict = self.mispredicts.append
-        index = self._index
         last_fetch_block = self._last_fetch_block
-        for _ in range(count):
-            if index == n_records:
-                index = 0
+        for index in range(start, end):
             flag = flags[index]
             pc = packed.pcs[index]
             # The lockstep core's fetch-block test.
@@ -267,9 +364,68 @@ class PrivateStream:
                 access(*data, pc, packed.stores[index] & mask, True)
             if flag & FLAG_BRANCH:
                 mispredict(not predictor_update(pc, bool(flag & FLAG_TAKEN)))
-            index += 1
-        self._index = index
         self._last_fetch_block = last_fetch_block
+
+    def _copy(self, start: int, end: int) -> None:
+        """Record trace rows ``[start, end)`` from the periodic lap: its
+        columns copied, the predictor walked until it repeats too."""
+        lap = self._lap
+        for column, base, at in (
+                (self.fetches.codes, lap.fetch, lap.fetch_at),
+                (self.datas.codes, lap.data, lap.data_at),
+                (self.ev_blocks, lap.event, lap.event_at),
+                (self.ev_info, lap.event, lap.event_at)):
+            column.extend(column[base + at[start]:base + at[end]])
+        first, last = lap.branch_at[start], lap.branch_at[end]
+        mispredicts = self.mispredicts
+        if lap.mispredict is not None:
+            mispredicts.extend(mispredicts[lap.mispredict + first:
+                                           lap.mispredict + last])
+        else:
+            update = self._predictor.update
+            mispredicts.extend([not update(pc, taken)
+                                for pc, taken in lap.branches[first:last]])
+
+    def _wrap(self) -> None:
+        """At a lap start: look for the cache period, then the
+        predictor's."""
+        marks = self._marks
+        marks.append((len(self.fetches.codes), len(self.datas.codes),
+                      len(self.mispredicts), len(self.ev_info)))
+        del marks[:-3]
+        if self._lap is None:
+            state = self._cache_snapshot()
+            if state == self._cache_state:
+                self._lap = _Lap(self, marks[-2])
+                self._cache_state = None
+            else:
+                self._cache_state = state
+            return
+        if self._lap.mispredict is not None:
+            return
+        # Snapshot the predictor only after two laps that mispredicted
+        # alike. Once its state repeats every lap mispredicts alike, so
+        # this cheap test delays finding the period by two laps at most.
+        mispredicts = self.mispredicts
+        if (mispredicts[marks[0][2]:marks[1][2]]
+                != mispredicts[marks[1][2]:marks[2][2]]):
+            self._predictor_state = None
+            return
+        state = predictor_state(self._predictor)
+        if state == self._predictor_state:
+            self._lap.mispredict = marks[1][2]
+            self._predictor_state = None
+        else:
+            self._predictor_state = state
+
+    def _cache_snapshot(self) -> tuple:
+        """The cache side's state by value: the fetch block and each LRU
+        level's sets in recency order, with their flags."""
+        stage = self._stage
+        return (self._last_fetch_block, [
+            tuple(blocks.items())
+            for level in (stage.l1i, stage.l1d, stage.l2)
+            for blocks in level._sets])
 
     def cost_of(self, instructions: int) -> float:
         """Build seconds of the stream's first ``instructions`` (linear

@@ -664,8 +664,20 @@ def drive(session: Session, stepper, warmup: int, total: Optional[int],
 
     Raises :class:`ValueError` when the stepper exhausts its input before
     completing the warm-up — previously the cache-only host silently
-    returned warm-up-contaminated statistics in that case.
+    returned warm-up-contaminated statistics in that case — and, before
+    running anything, on a negative warm-up or budget or an interval below
+    1, which would loop forever or return an empty result.
     """
+    unit = stepper.unit.split()[-1]  # "instructions" or "accesses"
+    epoch = (session.repartition_interval
+             if session.partitioner is not None else None)
+    for name, value, least in ((f"warmup_{unit}", warmup, 0),
+                               ("sim_instructions", total, 0),
+                               ("sample_interval", sample_interval, 1),
+                               ("repartition_interval", epoch, 1)):
+        if value is not None and value < least:
+            session.detach_events()
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     completed = stepper.run(warmup)
     if completed < warmup:
         session.detach_events()

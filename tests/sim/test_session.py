@@ -216,3 +216,57 @@ class TestHookCountersSkipWarmup:
         for name in self.EXTRAS:
             assert head[name] > 0, name  # the warm-up really counted some
             assert measured[name] == whole[name] - head[name], name
+
+
+class TestDriveArguments:
+    """A negative warm-up or budget, or an interval below 1, is one
+    ``ValueError`` naming the argument from ``drive``, on every host; a zero
+    interval used to loop forever and a negative budget returned an empty
+    result."""
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(sample_interval=0), "sample_interval"),
+        (dict(sample_interval=-1), "sample_interval"),
+        (dict(sim_instructions=-5), "sim_instructions"),
+        (dict(warmup_instructions=-3), "warmup_instructions"),
+    ])
+    def test_single_core(self, config, lbm_trace, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            simulate(lbm_trace, config, **kwargs)
+
+    def test_pair_sample_interval(self, config, lbm_trace, gromacs_trace):
+        with pytest.raises(ValueError, match="^sample_interval"):
+            simulate_pair(lbm_trace, gromacs_trace, config,
+                          sim_instructions=100, sample_interval=0)
+
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_repartition_interval(self, config, lbm_trace, gromacs_trace,
+                                  interval):
+        from repro.cache.partition import make_partitioner
+
+        n_sets = config.llc.size // (config.llc.assoc * config.block_size)
+        partitioner = make_partitioner("static", n_sets, config.llc.assoc,
+                                       [0, 1])
+        with pytest.raises(ValueError, match="^repartition_interval"):
+            simulate_multiprogrammed(
+                [lbm_trace, gromacs_trace], config, sim_instructions=100,
+                partitioner=partitioner, repartition_interval=interval)
+
+    def test_cache_only_warmup(self, config, lbm_trace):
+        from repro.sim.fastcache import simulate_cache_only
+
+        with pytest.raises(ValueError, match="^warmup_accesses"):
+            simulate_cache_only(lbm_trace, config, warmup_accesses=-1)
+
+    def test_zero_budget_and_warmup_still_run(self, config, lbm_trace):
+        result = simulate(lbm_trace, config, warmup_instructions=0,
+                          sim_instructions=0)
+        assert result.instructions == 0
+
+    @pytest.mark.parametrize("interval", [0, -2])
+    def test_job_refuses_repartition_interval(self, interval):
+        from repro.sim.batch import Job
+
+        with pytest.raises(ValueError, match="^repartition_interval"):
+            Job("470.lbm", mode="multi", co_runners=("450.soplex",),
+                scheme="static", repartition_interval=interval)
